@@ -16,6 +16,7 @@ from .criterion import (
     export_dot,
     max_indegree_from_nonsquares,
     reachable_subgraph,
+    verdict_from_graph,
     witness_word,
     word_irreducible,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "rabin_irreducible",
     "reachable_subgraph",
     "single_generator_records",
+    "verdict_from_graph",
     "verify_lemma_p7mod8",
     "verify_prop_p3mod4",
     "witness_word",

@@ -31,6 +31,7 @@ from .criterion import (
     check_semigroup_irreducible,
     export_dot,
     reachable_subgraph,
+    verdict_from_graph,
 )
 from .field import Field, make_field
 from .oracle import crosscheck
@@ -148,20 +149,19 @@ def _print_json(payload) -> None:
 
 
 def _verdict_payload(verdict: Verdict) -> dict:
-    graph = verdict.graph
     return {
         "verdict": "irreducible" if verdict.irreducible else "reducible",
         "reason": verdict.reason,
         "witness": list(verdict.witness) if verdict.witness else None,
-        "reach_nodes": list(graph.nodes),
-        "d_s": list(graph.seeds),
     }
 
 
 def cmd_check(args) -> int:
     generators = load_generator_set(_read_document(args.input), args.max_generators)
-    verdict = check_semigroup_irreducible(generators)
-    _print_json(_verdict_payload(verdict))
+    graph = reachable_subgraph(generators)
+    verdict = verdict_from_graph(graph)
+    payload = _verdict_payload(verdict)
+    _print_json({**payload, "reach_nodes": list(graph.nodes), "d_s": list(graph.seeds)})
     return 0 if verdict.irreducible else 1
 
 
@@ -171,14 +171,7 @@ def cmd_witness(args) -> int:
     composition = None
     if verdict.witness and len(verdict.witness) <= _MAX_DENSE_WITNESS:
         composition = compose_word(generators, verdict.witness)
-    _print_json(
-        {
-            "verdict": "irreducible" if verdict.irreducible else "reducible",
-            "reason": verdict.reason,
-            "witness": list(verdict.witness) if verdict.witness else None,
-            "composition": composition,
-        }
-    )
+    _print_json({**_verdict_payload(verdict), "composition": composition})
     return 0 if verdict.irreducible else 1
 
 

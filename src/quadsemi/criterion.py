@@ -40,25 +40,23 @@ def distinguished_set(generators: GeneratorSet) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class ReachGraph:
     """The part of the generator-application graph reachable from the
-    distinguished set by paths of positive length.
+    distinguished set by paths of positive length, as far as explored.
 
     nodes lists elements in BFS discovery order; a distinguished value
-    appears among the nodes only if some walk re-enters it.  edges holds
-    one (source, generator index, target) triple per distinguished value
-    or node and per generator, in expansion order.  parent maps each
-    node to the (predecessor, generator index) that first discovered it;
-    dist maps it to that minimal walk length (always >= 1).
-    first_square is the edge that discovered the earliest square node,
-    or None when every node is a non-square.
+    appears among the nodes only if some walk re-enters it.  targets
+    holds one image per expanded source (in sources() order) and per
+    generator.  parent maps each node to the (predecessor, generator
+    index) that first discovered it: its chain back to a seed is a
+    shortest walk.  first_square is the edge that discovered the earliest
+    square node, or None when every explored node is a non-square.
     """
 
     generators: GeneratorSet
     seeds: tuple[int, ...]
     nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
     parent: dict[int, tuple[int, int]] = dc_field(repr=False)
-    dist: dict[int, int] = dc_field(repr=False)
     first_square: tuple[int, int, int] | None
+    targets: list[int] = dc_field(repr=False)
 
     @property
     def field(self) -> Field:
@@ -71,53 +69,63 @@ class ReachGraph:
         f = self.field
         return tuple(v for v in self.nodes if f.is_square(v))
 
+    def sources(self) -> list[int]:
+        """Expansion order: the seeds, then the nodes that are not seeds."""
+        seed_set = set(self.seeds)
+        return list(self.seeds) + [v for v in self.nodes if v not in seed_set]
 
-def reachable_subgraph(generators: GeneratorSet) -> ReachGraph:
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(source, generator index, target) per entry of targets."""
+        n = len(self.generators)
+        sources = self.sources()
+        return tuple((sources[k // n], k % n, v) for k, v in enumerate(self.targets))
+
+
+def reachable_subgraph(
+    generators: GeneratorSet, _stop_at_square: bool = False
+) -> ReachGraph:
     """Breadth-first closure of the generator maps from the distinguished
     set.  Deterministic: seeds are expanded in sorted order, then nodes
     in discovery order, applying generators in input order; each source
-    is expanded exactly once even if it is both a seed and a node.
+    is expanded exactly once even if it is both a seed and a node.  The
+    decision alone passes _stop_at_square: the walk then does not start
+    when some b is a square and otherwise ends at the first square node.
     """
     field = generators.field
     gens = generators.gens
     seeds = distinguished_set(generators)
-    n_seeds = len(seeds)
-
+    seed_set = set(seeds)
     sources: list[int] = list(seeds)
-    queued: set[int] = set(seeds)
-    nodes: list[int] = []
-    discovered: set[int] = set()
     parent: dict[int, tuple[int, int]] = {}
-    dist: dict[int, int] = {}
-    edges: list[tuple[int, int, int]] = []
+    targets: list[int] = []
     first_square: tuple[int, int, int] | None = None
+    done = _stop_at_square and any(field.is_square(g.b) for g in gens)
 
     pos = 0
-    while pos < len(sources):
+    while pos < len(sources) and not done:
         u = sources[pos]
-        base = 0 if pos < n_seeds else dist[u]
         pos += 1
         for i, g in enumerate(gens):
             v = evaluate(field, g, u)
-            edges.append((u, i, v))
-            if v not in discovered:
-                discovered.add(v)
-                nodes.append(v)
-                parent[v] = (u, i)
-                dist[v] = base + 1
-                if first_square is None and field.is_square(v):
-                    first_square = (u, i, v)
-                if v not in queued:
-                    queued.add(v)
-                    sources.append(v)
+            targets.append(v)
+            if v in parent:
+                continue
+            parent[v] = (u, i)
+            if v not in seed_set:
+                sources.append(v)
+            if first_square is None and field.is_square(v):
+                first_square = (u, i, v)
+                if _stop_at_square:
+                    done = True
+                    break
     return ReachGraph(
         generators=generators,
         seeds=seeds,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
+        nodes=tuple(parent),  # insertion order is discovery order
         parent=parent,
-        dist=dist,
         first_square=first_square,
+        targets=targets,
     )
 
 
@@ -194,8 +202,11 @@ class Verdict:
     irreducible is True when every composition of the generators is
     irreducible.  Otherwise reason is one of REASON_GENERATOR /
     REASON_REACHABLE and witness is a reducible word whose strictly
-    shorter outer-prefixes are all irreducible.  The reachability graph
-    is attached in either case.
+    shorter outer-prefixes are all irreducible.  graph is the graph the
+    verdict was read from: the one given to verdict_from_graph, or from
+    check_semigroup_irreducible the closure explored up to its first
+    square node (all of it when irreducible, only the seeds when some b
+    is a square).
     """
 
     irreducible: bool
@@ -204,21 +215,25 @@ class Verdict:
     graph: ReachGraph
 
 
-def check_semigroup_irreducible(generators: GeneratorSet) -> Verdict:
-    """Decide whether every composition of the generators is irreducible.
-
-    The graph is always built so callers can inspect or render it.  A
-    square b (reducible generator) short-circuits with a one-letter
-    witness; otherwise the first square node discovered, if any, yields
-    the witness.
-    """
-    field = generators.field
-    graph = reachable_subgraph(generators)
-    if any(field.is_square(g.b) for g in generators.gens):
+def verdict_from_graph(graph: ReachGraph) -> Verdict:
+    """The verdict a graph decides: a square b, else its first square node."""
+    generators = graph.generators
+    if any(generators.field.is_square(g.b) for g in generators.gens):
         return Verdict(False, REASON_GENERATOR, witness_word(generators, graph), graph)
     if graph.first_square is not None:
         return Verdict(False, REASON_REACHABLE, witness_word(generators, graph), graph)
     return Verdict(True, None, None, graph)
+
+
+def check_semigroup_irreducible(generators: GeneratorSet) -> Verdict:
+    """Decide whether every composition of the generators is irreducible.
+
+    A square b (reducible generator) decides at once with a one-letter
+    witness; otherwise the walk stops at the first square node it
+    discovers, which yields the witness.  Verdict and witness equal
+    verdict_from_graph(reachable_subgraph(generators)).
+    """
+    return verdict_from_graph(reachable_subgraph(generators, _stop_at_square=True))
 
 
 def max_indegree_from_nonsquares(graph: ReachGraph) -> int:
@@ -246,19 +261,22 @@ def export_dot(graph: ReachGraph) -> str:
     gens = graph.generators
     field = graph.field
     node_set = graph.node_set()
-    order: list[int] = list(graph.seeds)
-    order.extend(v for v in graph.nodes if v not in set(graph.seeds))
+    seed_set = set(graph.seeds)
+    sources = graph.sources()
     lines = ["digraph reach {", "  rankdir=LR;", '  node [shape=circle];']
-    for v in order:
+    for v in sources:
         attrs = []
-        if v in graph.seeds:
+        if v in seed_set:
             attrs.append("shape=doublecircle")
         if v in node_set and field.is_square(v):
             attrs.append("style=filled")
             attrs.append("fillcolor=lightgrey")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{v}"{suffix};')
-    for u, i, v in graph.edges:
-        lines.append(f'  "{u}" -> "{v}" [label="{gens.name(i)}"];')
+    names = [gens.name(i) for i in range(len(gens))]
+    targets = iter(graph.targets)
+    for u in sources:  # each source takes the next len(gens) targets
+        for name, v in zip(names, targets):
+            lines.append(f'  "{u}" -> "{v}" [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -141,11 +141,6 @@ class Field:
         for d in reversed(ds):
             value = value * self.p + d
         return value
-
-    def _check(self, x: int) -> int:
-        if not 0 <= x < self.q:
-            raise ValueError(f"element {x!r} out of range for F_{self.q}")
-        return x
 
     # -- arithmetic ----------------------------------------------------
 

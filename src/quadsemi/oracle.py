@@ -13,15 +13,10 @@ import itertools
 from dataclasses import dataclass
 
 from .criterion import word_irreducible
-from .polys import frobenius_power, rabin_irreducible
+from .polys import rabin_irreducible
 from .quadratic import GeneratorSet, compose_word
 
-__all__ = [
-    "CrosscheckReport",
-    "crosscheck",
-    "frobenius_power",
-    "rabin_irreducible",
-]
+__all__ = ["CrosscheckReport", "crosscheck"]
 
 
 @dataclass(frozen=True)

@@ -52,18 +52,8 @@ def poly_add(field: Field, a, b) -> list[int]:
     return normalize(out)
 
 
-def poly_neg(field: Field, a) -> list[int]:
-    return [field.neg(c) for c in a]
-
-
 def poly_sub(field: Field, a, b) -> list[int]:
-    return poly_add(field, a, poly_neg(field, b))
-
-
-def poly_scale(field: Field, c: int, a) -> list[int]:
-    if c == 0:
-        return []
-    return normalize([field.mul(c, x) for x in a])
+    return poly_add(field, a, [field.neg(c) for c in b])
 
 
 def poly_mul(field: Field, a, b) -> list[int]:
@@ -148,19 +138,16 @@ def poly_rem(field: Field, a, b) -> list[int]:
     return poly_divmod(field, a, b)[1]
 
 
-def poly_monic(field: Field, a) -> list[int]:
-    if not a or a[-1] == 1:
-        return list(a)
-    return poly_scale(field, field.inv(a[-1]), a)
-
-
 def poly_gcd(field: Field, a, b) -> list[int]:
     """Monic greatest common divisor."""
     a = normalize(a)
     b = normalize(b)
     while b:
         a, b = b, poly_rem(field, a, b)
-    return poly_monic(field, a)
+    if not a or a[-1] == 1:
+        return a
+    lead_inv = field.inv(a[-1])
+    return [field.mul(lead_inv, c) for c in a]
 
 
 def poly_pow_mod(field: Field, base, n: int, modulus) -> list[int]:

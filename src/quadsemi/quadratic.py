@@ -19,9 +19,6 @@ from .polys import poly_mul
 if TYPE_CHECKING:
     from .field import Field
 
-# Word: nonempty sequence of generator indices, outermost first.
-Word = "tuple[int, ...]"
-
 _GEN_LETTERS = "fgh"
 
 

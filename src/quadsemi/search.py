@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
-from .criterion import check_semigroup_irreducible, max_indegree_from_nonsquares
+from .criterion import (
+    check_semigroup_irreducible,
+    max_indegree_from_nonsquares,
+    reachable_subgraph,
+    verdict_from_graph,
+)
 from .field import Field, make_field
 from .quadratic import GeneratorSet, MonicQuadratic
 
@@ -56,12 +62,15 @@ def census_pairs(
 ) -> list[CensusRow]:
     """One row per unordered pair of distinct quadratics passing the
     filter, in lexicographic (a1, b1) < (a2, b2) order; limit keeps the
-    first rows of that order.
+    first rows of that order (none for 0; a negative limit is refused).
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     rows: list[CensusRow] = []
     quads = _census_quadratics(field, census_filter)
-    for f, g in itertools.combinations(quads, 2):
-        verdict = check_semigroup_irreducible(GeneratorSet(field, [f, g]))
+    for f, g in itertools.islice(itertools.combinations(quads, 2), limit):
+        graph = reachable_subgraph(GeneratorSet(field, [f, g]))
+        verdict = verdict_from_graph(graph)
         rows.append(
             CensusRow(
                 q=field.q,
@@ -69,11 +78,9 @@ def census_pairs(
                 second=(g.a, g.b),
                 irreducible=verdict.irreducible,
                 witness_len=len(verdict.witness) if verdict.witness else 0,
-                reach_size=len(verdict.graph.nodes),
+                reach_size=len(graph.nodes),
             )
         )
-        if limit is not None and len(rows) >= limit:
-            break
     return rows
 
 
@@ -172,23 +179,27 @@ class NonSquarePairRecord:
     indegree_at_most_one: bool
 
 
-def nonsquare_pair_records(p: int) -> list[NonSquarePairRecord]:
-    """Verdicts for every unordered pair of distinct non-squares, as
-    shift-free generator pairs over F_p, for p = 3 (mod 4).
-    """
+def _nonsquare_pairs(p: int) -> Iterator[GeneratorSet]:
+    """{x^2 - b_f, x^2 - b_g} for non-squares b_f < b_g of F_p, p = 3 (mod 4)."""
     field = _checked_prime_field(p, residue=3, modulus=4)
     nonsquares = [b for b in range(p) if not field.is_square(b)]
+    return (
+        GeneratorSet(field, [MonicQuadratic(0, b_f), MonicQuadratic(0, b_g)])
+        for b_f, b_g in itertools.combinations(nonsquares, 2)
+    )
+
+
+def nonsquare_pair_records(p: int) -> list[NonSquarePairRecord]:
+    """Verdict and whole-closure statistics for each of _nonsquare_pairs(p)."""
     records = []
-    for b_f, b_g in itertools.combinations(nonsquares, 2):
-        verdict = check_semigroup_irreducible(
-            GeneratorSet(field, [MonicQuadratic(0, b_f), MonicQuadratic(0, b_g)])
-        )
-        graph = verdict.graph
+    for s in _nonsquare_pairs(p):
+        graph = reachable_subgraph(s)
+        verdict = verdict_from_graph(graph)
         squares = graph.square_nodes()
         records.append(
             NonSquarePairRecord(
-                b_f=b_f,
-                b_g=b_g,
+                b_f=s.gens[0].b,
+                b_g=s.gens[1].b,
                 irreducible=verdict.irreducible,
                 witness=verdict.witness or (),
                 node_count=len(graph.nodes),
@@ -204,7 +215,9 @@ def verify_prop_p3mod4(p: int) -> bool:
     """True iff every shift-free pair of distinct non-square b values
     over F_p has a reducible composition (p = 3 (mod 4)).
     """
-    return all(not r.irreducible for r in nonsquare_pair_records(p))
+    return not any(
+        check_semigroup_irreducible(s).irreducible for s in _nonsquare_pairs(p)
+    )
 
 
 def census_tsv(rows: list[CensusRow]) -> str:

@@ -2,6 +2,7 @@
 byte-deterministic output for every command.
 """
 
+import hashlib
 import io
 import json
 import subprocess
@@ -238,6 +239,24 @@ def test_census_tsv_golden(capsys):
     )
 
 
+def test_census_limit_zero_prints_header_or_empty_list(capsys):
+    code, out, _ = run_cli(capsys, ["census", "--p", "5", "--limit", "0"])
+    assert code == 0
+    assert out == "q\ta1\tb1\ta2\tb2\tverdict\twitness_len\treach_size\n"
+    code, out, _ = run_cli(
+        capsys, ["census", "--p", "5", "--format", "json", "--limit", "0"]
+    )
+    assert code == 0
+    assert out == "[]\n"
+
+
+def test_census_negative_limit_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, ["census", "--p", "5", "--limit", "-2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "limit" in err
+
+
 def test_census_json_format(capsys):
     code, out, _ = run_cli(
         capsys, ["census", "--p", "5", "--format", "json", "--limit", "2"]
@@ -342,6 +361,81 @@ def test_dot_deterministic(tmp_path, capsys):
     _, first, _ = run_cli(capsys, ["dot", path])
     _, second, _ = run_cli(capsys, ["dot", path])
     assert first == second
+
+
+# -- byte-identical output on larger closures --
+
+# Closures of hundreds to thousands of nodes: a prime field, the table
+# path (q = 25) and the digit-vector path (q = 3^7); the SHA-256 of each
+# command's stdout is pinned.
+P10007_SINGLE = {"field": {"p": 10007}, "generators": [{"a": 0, "b": 5}]}
+Q25_PAIR = {
+    "field": {"p": 5, "e": 2},
+    "generators": [{"a": 0, "b": 7}, {"a": 3, "b": 11}],
+}
+Q2187_PAIR = {
+    "field": {"p": 3, "e": 7},
+    "generators": [{"a": 2086, "b": 1601}, {"a": 1970, "b": 428}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc,command,exit_code,sha256",
+    [
+        pytest.param(
+            P10007_SINGLE, "check", 1,
+            "bb3bd3760f2b74e8a005a24f513336912fcabff3df6b36dd0da5a8285baa3f60",
+            id="p10007-check",
+        ),
+        pytest.param(
+            P10007_SINGLE, "witness", 1,
+            "46c005adf39449b421d0f2a78c2ce40262eaad018288a1bb2f4030e06799dc1f",
+            id="p10007-witness",
+        ),
+        pytest.param(
+            P10007_SINGLE, "dot", 0,
+            "676cb49eac0a89b47d8f3ea448a990119fb4df902122ff4e15018608dd130a22",
+            id="p10007-dot",
+        ),
+        pytest.param(
+            Q25_PAIR, "check", 1,
+            "3434b5edac4f81450ee39fa4ce2b5258af0797c9d3af6d07afeb5576da7c306f",
+            id="q25-check",
+        ),
+        pytest.param(
+            Q25_PAIR, "witness", 1,
+            "0266f3af3e42e3d5589ed57ca8973c8609c1e396134dfc29c93ef0d6f28f29eb",
+            id="q25-witness",
+        ),
+        pytest.param(
+            Q25_PAIR, "dot", 0,
+            "fa7a4b761876e56fe7f8342ddca9da4f431b94bc2c0518f6d7fc77fa684f8f98",
+            id="q25-dot",
+        ),
+        pytest.param(
+            Q2187_PAIR, "check", 1,
+            "d259de6dad473d8da94acc88bc42e2c8cec5977ae30f25cfa78b4de79aff145e",
+            id="q2187-check",
+        ),
+        pytest.param(
+            Q2187_PAIR, "witness", 1,
+            "93a85860303a5b5b98fd63452422b8e2faf8a62624a9db385af1d27b9abf8c73",
+            id="q2187-witness",
+        ),
+        pytest.param(
+            Q2187_PAIR, "dot", 0,
+            "9f24a489ca6513285c20a9af5ce0c6983a8e10881318308c6ae7d6cacf4277dc",
+            id="q2187-dot",
+        ),
+    ],
+)
+def test_output_digests_on_larger_closures(
+    tmp_path, capsys, doc, command, exit_code, sha256
+):
+    code, out, err = run_cli(capsys, [command, write_input(tmp_path, doc)])
+    assert code == exit_code
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 # -- process-level entry --

@@ -3,9 +3,11 @@ subgraph, verdicts, the word chain test, witness extraction, and DOT
 export, pinned against hand-checked values over F_7 and F_13.
 """
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadsemi.criterion import (
     REASON_GENERATOR,
@@ -15,6 +17,7 @@ from quadsemi.criterion import (
     export_dot,
     max_indegree_from_nonsquares,
     reachable_subgraph,
+    verdict_from_graph,
     witness_word,
     word_irreducible,
 )
@@ -37,6 +40,17 @@ PAIR7_SHIFTED = gset(F7, (1, 5), (4, 5))
 PAIR7_REDUCIBLE = gset(F7, (0, 3), (0, 5))
 
 
+def chain_lengths(g):
+    """Length of each node's parent chain back to a seed."""
+    lengths = {}
+    for v in g.nodes:
+        u, n = g.parent[v][0], 1
+        while u not in g.seeds:
+            u, n = g.parent[u][0], n + 1
+        lengths[v] = n
+    return lengths
+
+
 def test_distinguished_set_examples():
     assert distinguished_set(PAIR7_SHIFTED) == (2,)  # -5 mod 7
     assert distinguished_set(PAIR13) == (5,)  # -8 mod 13
@@ -56,7 +70,7 @@ def test_reachable_subgraph_shifted_pair():
         (6, 0, 6),
         (6, 1, 6),
     )
-    assert g.dist == {3: 1, 6: 1}
+    assert chain_lengths(g) == {3: 1, 6: 1}
     assert g.parent == {3: (2, 0), 6: (2, 1)}
     assert g.first_square is None
 
@@ -68,7 +82,7 @@ def test_reachable_subgraph_swap_pair():
     assert g.seeds == (5,)
     assert g.nodes == (5, 6)
     assert g.edges == ((5, 0, 5), (5, 1, 6), (6, 0, 6), (6, 1, 5))
-    assert g.dist == {5: 1, 6: 1}
+    assert chain_lengths(g) == {5: 1, 6: 1}
 
 
 def test_reachable_subgraph_single_generator_chain():
@@ -76,7 +90,7 @@ def test_reachable_subgraph_single_generator_chain():
     g = reachable_subgraph(gset(F7, (0, 5)))
     assert g.seeds == (2,)
     assert g.nodes == (6, 3, 4)
-    assert g.dist == {6: 1, 3: 2, 4: 3}
+    assert chain_lengths(g) == {6: 1, 3: 2, 4: 3}
     assert g.parent == {6: (2, 0), 3: (6, 0), 4: (3, 0)}
     assert g.first_square == (3, 0, 4)
 
@@ -103,7 +117,8 @@ def test_reachable_subgraph_closure_and_membership(p, e):
 
 
 def test_dist_is_minimal_walk_length():
-    # brute force all walks from the seeds and compare lengths
+    # brute force all walks from the seeds and compare their minimal
+    # lengths with the parent chains
     for s in (PAIR13, PAIR7_SHIFTED, PAIR7_REDUCIBLE, gset(F7, (0, 5))):
         g = reachable_subgraph(s)
         field = s.field
@@ -119,7 +134,7 @@ def test_dist_is_minimal_walk_length():
             }
             for v in frontier:
                 best.setdefault(v, depth)
-        assert g.dist == best
+        assert chain_lengths(g) == best
 
 
 def test_word_irreducible_examples():
@@ -276,3 +291,60 @@ def test_input_order_breaks_ties_in_witness():
     assert not v.irreducible
     assert not word_irreducible(swapped, v.witness)
     assert v.witness == (1, 0)  # same word with relabeled indices
+
+
+# -- early exit against the whole closure --
+
+
+def assert_early_exit_matches_closure(s):
+    early = check_semigroup_irreducible(s)
+    full = verdict_from_graph(reachable_subgraph(s))
+    assert (early.irreducible, early.reason, early.witness) == (
+        full.irreducible,
+        full.reason,
+        full.witness,
+    )
+    # the explored graph is a prefix of the whole closure's BFS
+    g, h = early.graph, full.graph
+    assert g.seeds == h.seeds
+    assert h.nodes[: len(g.nodes)] == g.nodes
+    assert h.targets[: len(g.targets)] == g.targets
+    assert all(g.parent[v] == h.parent[v] for v in g.nodes)
+    if early.reason == REASON_GENERATOR:
+        assert g.nodes == () and g.targets == []
+    elif early.reason == REASON_REACHABLE:
+        # the walk ends on the edge that discovered the first square
+        assert g.first_square == h.first_square
+        assert g.nodes[-1] == g.targets[-1] == g.first_square[2]
+    else:
+        assert (g.nodes, g.targets, g.first_square) == (h.nodes, h.targets, None)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_early_exit_matches_closure_exhaustive(p, e):
+    # every set of one or two generators over F_3, F_5, F_7 and F_9
+    field = make_field(p, e)
+    quads = [MonicQuadratic(a, b) for a in field.elements() for b in field.elements()]
+    for size in (1, 2):
+        for gens in itertools.combinations(quads, size):
+            assert_early_exit_matches_closure(GeneratorSet(field, gens))
+
+
+PRIMES_BELOW_200 = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
+cached_field = functools.lru_cache(maxsize=None)(make_field)
+
+
+@st.composite
+def generator_sets(draw):
+    field = cached_field(
+        draw(st.sampled_from(PRIMES_BELOW_200)), draw(st.sampled_from([1, 2]))
+    )
+    element = st.integers(0, field.q - 1)
+    pairs = draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+    return GeneratorSet(field, [MonicQuadratic(a, b) for a, b in pairs])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(generator_sets())
+def test_early_exit_matches_closure_sampled(s):
+    assert_early_exit_matches_closure(s)

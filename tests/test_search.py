@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from quadsemi.criterion import check_semigroup_irreducible
+from quadsemi.criterion import check_semigroup_irreducible, reachable_subgraph
 from quadsemi.field import make_field
 from quadsemi.quadratic import GeneratorSet, MonicQuadratic
 from quadsemi.search import (
@@ -47,6 +47,17 @@ def test_census_limit_truncates_canonical_order():
     full = census_pairs(make_field(5))
     limited = census_pairs(make_field(5), limit=10)
     assert limited == full[:10]
+
+
+def test_census_limit_zero_gives_no_rows():
+    assert census_pairs(make_field(5), limit=0) == []
+    assert census_tsv([]) == "q\ta1\tb1\ta2\tb2\tverdict\twitness_len\treach_size\n"
+
+
+@pytest.mark.parametrize("limit", [-1, -2])
+def test_census_rejects_negative_limit(limit):
+    with pytest.raises(ValueError, match="limit"):
+        census_pairs(make_field(5), limit=limit)
 
 
 def test_census_rejects_unknown_filter():
@@ -103,7 +114,7 @@ def test_census_rows_reproducible_through_criterion():
         )
         verdict = check_semigroup_irreducible(s)
         assert verdict.irreducible == row.irreducible
-        assert len(verdict.graph.nodes) == row.reach_size
+        assert len(reachable_subgraph(s).nodes) == row.reach_size
         witness_len = len(verdict.witness) if verdict.witness else 0
         assert witness_len == row.witness_len
 
