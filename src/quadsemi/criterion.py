@@ -101,13 +101,17 @@ def reachable_subgraph(
     targets: list[int] = []
     first_square: tuple[int, int, int] | None = None
     done = _stop_at_square and any(field.is_square(g.b) for g in gens)
+    # the map kernel: over a prime field each map is inlined as integer
+    # arithmetic, otherwise it runs on the field's arithmetic
+    prime = field.p if field.e == 1 else 0
+    maps = [(i, g, g.a, g.b) for i, g in enumerate(gens)]
 
     pos = 0
     while pos < len(sources) and not done:
         u = sources[pos]
         pos += 1
-        for i, g in enumerate(gens):
-            v = evaluate(field, g, u)
+        for i, g, a, b in maps:
+            v = ((u - a) * (u - a) - b) % prime if prime else evaluate(field, g, u)
             targets.append(v)
             if v in parent:
                 continue

@@ -7,6 +7,12 @@ defining polynomial.  For e = 1 the encoding is the usual integer
 residue.  All operations are pure functions of the encoded values, so a
 Field instance can be shared freely between threads or worker processes.
 
+Up to q = 2^20 an extension field keeps O(q) tables of a primitive
+element g: antilogarithms, logarithms and Zech logarithms
+log(1 + g^d), so every operation is one or two lookups.  Larger
+extension fields work on digit vectors, which also serve as the
+reference arithmetic in the tests.
+
 Fields of even characteristic are rejected: the quadratic-residue
 machinery this package is built around needs 2 to be invertible.
 """
@@ -15,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 
-# Full add/mul lookup tables are built for extension fields up to this
-# order; beyond it every operation falls back to digit-vector arithmetic.
-_TABLE_LIMIT = 1024
+from .polys import _prime_factors
 
-# Square membership table policy: materialize up to this order, use
-# Euler's criterion on the fly above it.
-_SQUARE_TABLE_LIMIT = 1 << 20
+# Up to this order a field keeps a squareness table and, for e > 1,
+# logarithm, antilogarithm and Zech-logarithm tables (O(q) entries
+# each).  Above it squareness is Euler's criterion and extension-field
+# arithmetic works on digit vectors.
+_TABLE_LIMIT = 1 << 20
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -85,47 +91,52 @@ class Field:
     the trivial (0, 1), i.e. the polynomial x.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_add_t", "_mul_t", "_square_t")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_square_t")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
         self.e = e
-        self.q = p**e
+        self.q = q = p**e
         self.modulus = modulus
-        self._add_t = None
-        self._mul_t = None
-        q = self.q
-        if e > 1 and q <= _TABLE_LIMIT:
-            self._build_tables()
-        if q <= _SQUARE_TABLE_LIMIT:
-            sq = bytearray(q)
-            for x in range(q):
-                sq[self.mul(x, x)] = 1
-            self._square_t = bytes(sq)
+        self._exp = self._log = self._zech = self._square_t = None
+        if q > _TABLE_LIMIT:
+            return
+        sq = bytearray(q)
+        if e == 1:
+            for x in range((p + 1) // 2):
+                sq[x * x % p] = 1
         else:
-            self._square_t = None
+            self._build_log_tables()
+            sq[0] = 1
+            for v in self._exp[0 : q - 1 : 2]:
+                sq[v] = 1
+        self._square_t = bytes(sq)
 
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        mod = self.modulus
-        digits = [_digits_of(v, p, e) for v in range(q)]
-        add_t = [0] * (q * q)
-        mul_t = [0] * (q * q)
-        weights = [p**i for i in range(e)]
-        for x in range(q):
-            xd = digits[x]
-            row = x * q
-            for y in range(x, q):
-                yd = digits[y]
-                s = sum(w * ((a + b) % p) for w, a, b in zip(weights, xd, yd))
-                add_t[row + y] = s
-                add_t[y * q + x] = s
-                md = _digit_mulmod(xd, yd, mod, p, e)
-                m = sum(w * d for w, d in zip(weights, md))
-                mul_t[row + y] = m
-                mul_t[y * q + x] = m
-        self._add_t = add_t
-        self._mul_t = mul_t
+    def _build_log_tables(self):
+        # exp[k] = g^k for the smallest-encoded primitive g (constants lie
+        # in F_p and never are), stored twice over so that a sum of two
+        # logarithms needs no reduction; log[0] = -1; zech[d] =
+        # log(1 + g^d), which is -1 exactly when g^d = -1.
+        p, e, n = self.p, self.e, self.q - 1
+        tests = [n // r for r in _prime_factors(n)]
+        g = next(g for g in range(p, n + 1) if all(self.pow(g, t) != 1 for t in tests))
+        gd = _digits_of(g, p, e)
+        powers = [1]
+        cur = _digits_of(1, p, e)
+        for _ in range(n - 1):
+            cur = _digit_mulmod(cur, gd, self.modulus, p, e)
+            v = 0
+            for d in reversed(cur):
+                v = v * p + d
+            powers.append(v)
+        log = [0] * (n + 1)
+        for k, v in enumerate(powers):
+            log[v] = k
+        log[0] = -1
+        self._exp = powers + powers
+        self._log = log
+        # 1 + v only changes the lowest digit of v
+        self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
 
     # -- element codec -------------------------------------------------
 
@@ -147,8 +158,15 @@ class Field:
     def add(self, x: int, y: int) -> int:
         if self.e == 1:
             return (x + y) % self.p
-        if self._add_t is not None:
-            return self._add_t[x * self.q + y]
+        log = self._log
+        if log is not None:
+            if not x or not y:
+                return x or y
+            lx = log[x]
+            # x + y = g^lx (1 + g^(ly - lx)); a negative index into zech
+            # reads it modulo q - 1
+            z = self._zech[log[y] - lx]
+            return self._exp[lx + z] if z >= 0 else 0
         xd = _digits_of(x, self.p, self.e)
         yd = _digits_of(y, self.p, self.e)
         return self.from_digits([(a + b) % self.p for a, b in zip(xd, yd)])
@@ -159,14 +177,16 @@ class Field:
     def neg(self, x: int) -> int:
         if self.e == 1:
             return -x % self.p
+        if self._log is not None:  # -1 = g^((q - 1) / 2)
+            return self._exp[self._log[x] + (self.q - 1) // 2] if x else 0
         p = self.p
         return self.from_digits([-d % p for d in _digits_of(x, p, self.e)])
 
     def mul(self, x: int, y: int) -> int:
         if self.e == 1:
             return x * y % self.p
-        if self._mul_t is not None:
-            return self._mul_t[x * self.q + y]
+        if self._log is not None:
+            return self._exp[self._log[x] + self._log[y]] if x and y else 0
         xd = _digits_of(x, self.p, self.e)
         yd = _digits_of(y, self.p, self.e)
         return self.from_digits(_digit_mulmod(xd, yd, self.modulus, self.p, self.e))
@@ -183,6 +203,10 @@ class Field:
             return self.pow(self.inv(x), -n)
         if self.e == 1:
             return pow(x, n, self.p)
+        if self._log is not None:
+            if not x:
+                return 0 if n else 1
+            return self._exp[self._log[x] * n % (self.q - 1)]
         result = 1
         base = x
         while n:

@@ -5,9 +5,9 @@ trailing zeros; [] is the zero polynomial and degree([]) is -1.  The
 functions here are the ground-truth layer of the package: schoolbook
 multiplication, Euclidean division, gcd, iterated q-th powers, and the
 deterministic Rabin irreducibility test.  Speed matters for the
-exhaustive sweeps, so multiplication and reduction carry fast paths for
-prime fields (plain integer residues) and for small extension fields
-(flat lookup tables); the generic path works for any Field.
+exhaustive sweeps, so multiplication and reduction carry a fast path for
+prime fields (plain integer residues); the generic path works for any
+Field through its arithmetic, which is table-driven up to q = 2^20.
 """
 
 from __future__ import annotations
@@ -67,25 +67,13 @@ def poly_mul(field: Field, a, b) -> list[int]:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return [c % p for c in out]
-    mul_t = field._mul_t
-    if mul_t is not None:
-        add_t = field._add_t
-        q = field.q
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                row = ai * q
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = add_t[out[k] * q + mul_t[row + bj]]
-        return out
+    add, mul = field.add, field.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
-                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+                    out[i + j] = add(out[i + j], mul(ai, bj))
     return out
 
 
@@ -109,12 +97,13 @@ def poly_divmod(field: Field, a, b) -> tuple[list[int], list[int]]:
                 for j in range(db + 1):
                     r[k + j] = (r[k + j] - c * b[j]) % p
         return normalize(quot), normalize(r)
+    sub, mul = field.sub, field.mul
     for k in range(len(r) - db - 1, -1, -1):
-        c = field.mul(r[k + db], lead_inv)
+        c = mul(r[k + db], lead_inv)
         if c:
             quot[k] = c
             for j in range(db + 1):
-                r[k + j] = field.sub(r[k + j], field.mul(c, b[j]))
+                r[k + j] = sub(r[k + j], mul(c, b[j]))
     return normalize(quot), normalize(r)
 
 

@@ -7,11 +7,11 @@ the JSON document it reads from stdin (or none), and the SHA-256 of its
 stdout, the SHA-256 of its stderr and its exit code.
 ``tests/test_cli_corpus.py`` replays each case and compares all three.
 
-Run this script ONLY on a commit whose arithmetic and output are known
-good.  The digests pin what the commit prints.  A commit that changes
-the field arithmetic, the walk or the dense oracle must be checked
-against the corpus. It must never regenerate the corpus: that would pin
-whatever the change prints.
+Run this script ONLY on a commit whose arithmetic is unchanged since the
+committed corpus last passed: the digests pin what that commit prints.
+A commit that changes the field arithmetic, the walk or the dense oracle
+must pass the committed corpus and must never regenerate it, which would
+pin whatever the change prints.
 
 The documents are drawn once from a fixed seed and stored in the JSON
 file, so a replay does not depend on this script or on the arithmetic
@@ -26,6 +26,9 @@ import io
 import json
 import random
 import sys
+
+from quadsemi.cli import main as cli_main
+from quadsemi.field import make_field
 
 SEED = 20161
 WORDS_DEPTH = "3"
@@ -98,8 +101,6 @@ def _encode(rng, field, gens):
 
 def documents():
     """The corpus documents, in a fixed order."""
-    from quadsemi.field import make_field
-
     rng = random.Random(SEED)
     docs = []
     fields = [({"p": p}, make_field(p)) for p in PRIMES]
@@ -129,21 +130,22 @@ def cases():
     return out
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_case(argv, doc):
     """(stdout SHA-256, stderr SHA-256, exit code) of one in-process run."""
-    from quadsemi.cli import main
-
     stdout, stderr = io.StringIO(), io.StringIO()
     stdin = io.StringIO(json.dumps(doc) if doc is not None else "")
     saved = sys.stdin
     sys.stdin = stdin
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            code = cli_main(argv)
     finally:
         sys.stdin = saved
-    digest = lambda s: hashlib.sha256(s.encode()).hexdigest()  # noqa: E731
-    return digest(stdout.getvalue()), digest(stderr.getvalue()), code
+    return _sha256(stdout.getvalue()), _sha256(stderr.getvalue()), code
 
 
 def main():

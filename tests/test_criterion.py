@@ -5,6 +5,7 @@ export, pinned against hand-checked values over F_7 and F_13.
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from quadsemi.criterion import (
     word_irreducible,
 )
 from quadsemi.field import make_field
-from quadsemi.quadratic import GeneratorSet, MonicQuadratic
+from quadsemi.quadratic import GeneratorSet, MonicQuadratic, evaluate
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -348,3 +349,51 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_early_exit_matches_closure_sampled(s):
     assert_early_exit_matches_closure(s)
+
+
+# -- the walk's map kernel against plain evaluation --
+
+
+def reference_closure(s):
+    """The whole closure by a plain BFS on quadratic.evaluate:
+    (nodes, parent, targets, first_square).
+    """
+    field = s.field
+    seeds = distinguished_set(s)
+    sources, parent, targets, first_square = list(seeds), {}, [], None
+    for u in sources:  # grows while it is walked
+        for i, g in enumerate(s.gens):
+            v = evaluate(field, g, u)
+            targets.append(v)
+            if v not in parent:
+                parent[v] = (u, i)
+                if v not in seeds:
+                    sources.append(v)
+                if first_square is None and field.is_square(v):
+                    first_square = (u, i, v)
+    return tuple(parent), parent, targets, first_square
+
+
+def assert_walk_matches_reference(s):
+    g = reachable_subgraph(s)
+    assert (g.nodes, g.parent, g.targets, g.first_square) == reference_closure(s)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_walk_matches_reference_exhaustive(p, e):
+    # every set of one or two generators over F_3, F_5, F_7 and F_9
+    field = make_field(p, e)
+    quads = [MonicQuadratic(a, b) for a in field.elements() for b in field.elements()]
+    for size in (1, 2):
+        for gens in itertools.combinations(quads, size):
+            assert_walk_matches_reference(GeneratorSet(field, gens))
+
+
+@pytest.mark.parametrize("p,e", [(10007, 1), (3, 7)])
+def test_walk_matches_reference_sampled(p, e):
+    field = make_field(p, e)
+    rng = random.Random(p**e)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(n)]
+        assert_walk_matches_reference(gset(field, *pairs))

@@ -2,9 +2,18 @@
 and squareness testing, exhaustively at desk scale.
 """
 
+import random
+
 import pytest
 
-from quadsemi.field import Field, is_prime, make_field
+from quadsemi.field import (
+    _TABLE_LIMIT,
+    Field,
+    _digit_mulmod,
+    _digits_of,
+    is_prime,
+    make_field,
+)
 
 # Squares (including 0) in small prime fields, frozen from direct
 # enumeration of x^2 over each field.
@@ -183,3 +192,81 @@ def test_large_prime_field_skips_square_table():
     nonsquare = next(v for v in range(2, f.q) if not f.is_square(v))
     # a non-square times a nonzero square stays a non-square
     assert not f.is_square(f.mul(nonsquare, f.mul(12345, 12345)))
+
+
+# -- table kernel against digit-vector arithmetic --
+
+
+def ref_add(f, x, y):
+    xd, yd = _digits_of(x, f.p, f.e), _digits_of(y, f.p, f.e)
+    return f.from_digits([(a + b) % f.p for a, b in zip(xd, yd)])
+
+
+def ref_neg(f, x):
+    return f.from_digits([-d % f.p for d in _digits_of(x, f.p, f.e)])
+
+
+def ref_mul(f, x, y):
+    xd, yd = _digits_of(x, f.p, f.e), _digits_of(y, f.p, f.e)
+    return f.from_digits(_digit_mulmod(xd, yd, f.modulus, f.p, f.e))
+
+
+def ref_pow(f, x, n):
+    result = 1
+    while n:
+        if n & 1:
+            result = ref_mul(f, result, x)
+        x = ref_mul(f, x, x)
+        n >>= 1
+    return result
+
+
+def assert_kernel_matches_reference(f, pairs, singles):
+    for x, y in pairs:
+        assert f.add(x, y) == ref_add(f, x, y), (x, y)
+        assert f.sub(x, y) == ref_add(f, x, ref_neg(f, y)), (x, y)
+        assert f.mul(x, y) == ref_mul(f, x, y), (x, y)
+    half = (f.q - 1) // 2
+    for x in singles:
+        assert f.neg(x) == ref_neg(f, x)
+        for n in (0, 1, 2, 3, f.q - 2, f.q, 12345):
+            assert f.pow(x, n) == ref_pow(f, x, n), (x, n)
+        assert f.is_square(x) == (x == 0 or ref_pow(f, x, half) == 1)
+        if x:
+            assert f.inv(x) == ref_pow(f, x, f.q - 2)
+            assert f.pow(x, -3) == ref_pow(f, ref_pow(f, x, f.q - 2), 3)
+
+
+# Every extension field with q <= 125, plus F_25 under x^2 + 2, whose
+# root has order 8 and so is not primitive (neither is the root of the
+# default modulus x^2 + 1 of F_9).
+@pytest.mark.parametrize(
+    "p,e,modulus",
+    [(3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (3, 4, None),
+     (11, 2, None), (5, 3, None), (5, 2, [2, 0, 1])],
+)
+def test_kernel_matches_digit_reference_exhaustive(p, e, modulus):
+    f = make_field(p, e, modulus)
+    if modulus is not None:
+        assert f.pow(f.from_digits((0, 1)), 8) == 1  # x is not primitive
+    els = list(f.elements())
+    assert_kernel_matches_reference(f, [(x, y) for x in els for y in els], els)
+
+
+@pytest.mark.parametrize("p,e", [(23, 2), (3, 7), (5, 5)])
+def test_kernel_matches_digit_reference_sampled(p, e):
+    f = make_field(p, e)
+    rng = random.Random(f.q)
+    draw = lambda: rng.choice((0, 1, f.q - 1, rng.randrange(f.q)))  # noqa: E731
+    assert_kernel_matches_reference(
+        f, [(draw(), draw()) for _ in range(3000)], [draw() for _ in range(300)]
+    )
+
+
+def test_field_above_table_limit_takes_digit_path():
+    f = make_field(1031, 2)
+    assert f.q > _TABLE_LIMIT
+    assert f._log is None and f._square_t is None
+    rng = random.Random(1031)
+    els = [rng.randrange(f.q) for _ in range(40)]
+    assert_kernel_matches_reference(f, [(x, y) for x in els[:20] for y in els[20:]], els)
