@@ -53,8 +53,11 @@ def crosscheck(generators: GeneratorSet, depth: int) -> CrosscheckReport:
     """Compare the chain test with the dense test on every word of
     length 1..depth, in lexicographic outermost-first order.
 
-    Dense degrees grow as 2^length, so depth is meant to stay small
-    (3 or 4); the per-length tallies follow the dense verdict.
+    Dense degrees grow as 2^length and the word count as |S|^length, so
+    the cost climbs steeply with depth: a pair over F_13 takes about
+    0.15 s to depth 5 (62 words, degrees up to 32) and about 2 s to
+    depth 6 on a 2-CPU x86-64 VM.  The per-length tallies follow the
+    dense verdict.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -3,16 +3,23 @@
 A polynomial is a little-endian list of encoded field elements with no
 trailing zeros; [] is the zero polynomial and degree([]) is -1.  The
 functions here are the ground-truth layer of the package: schoolbook
-multiplication, Euclidean division, gcd, iterated q-th powers, and the
-deterministic Rabin irreducibility test.  Speed matters for the
-exhaustive sweeps, so multiplication and reduction carry a fast path for
-prime fields (plain integer residues); the generic path works for any
-Field through its arithmetic, which is table-driven up to q = 2^20.
+multiplication, Euclidean division, gcd, modular powers, and the
+deterministic Rabin irreducibility test.  Rabin's test needs x**(q**k)
+mod f for k up to n = deg f.  The q-th power map is F_q-linear on
+F_q[x]/(f), so after one square-and-multiply for x**q the test builds
+the n x n Frobenius matrix (Berlekamp's Q-matrix, row i = x**(q*i) mod
+f), and every later q-th power is one matrix-vector product.  Speed
+matters for the exhaustive sweeps, so multiplication, reduction and the
+matrix product carry a fast path for prime fields (plain integer
+residues); the generic path works for any Field through its arithmetic,
+which is table-driven up to q = 2^20.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -159,18 +166,52 @@ def _require_monic(f, what: str) -> None:
         raise ValueError(f"{what} requires a monic polynomial of degree >= 1")
 
 
+def _frobenius_map(field: Field, xq, f):
+    """The step u -> u**q mod f on reduced polynomials u, as a product
+    with the Frobenius matrix, whose rows x**(q*i) mod f are built from
+    xq = x**q mod f with deg f - 1 multiplications.
+    """
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(poly_rem(field, poly_mul(field, rows[-1], xq), f))
+    cols = list(zip_longest(*rows, fillvalue=0))
+    if field.e == 1:
+        p = field.p
+
+        def step(u):
+            # map() stops at the end of u, whose missing terms are zero
+            return normalize([sum(map(mul, u, col)) % p for col in cols])
+
+        return step
+    add, fmul = field.add, field.mul
+
+    def step(u):
+        out = []
+        for col in cols:
+            acc = 0
+            for a, c in zip(u, col):
+                if a and c:
+                    acc = add(acc, fmul(a, c))
+            out.append(acc)
+        return normalize(out)
+
+    return step
+
+
 def frobenius_power(field: Field, k: int, f) -> list[int]:
     """Canonical representative of x**(q**k) in the quotient ring by f.
 
-    Computed as k successive q-th powerings so intermediate degrees never
-    exceed deg f.
+    Computed as k steps of the Frobenius matrix from x mod f, so
+    intermediate degrees never exceed deg f.
     """
     _require_monic(f, "frobenius_power")
     if k < 0:
         raise ValueError("k must be >= 0")
     cur = poly_rem(field, [0, 1], f)
-    for _ in range(k):
-        cur = poly_pow_mod(field, cur, field.q, f)
+    if k:
+        frobenius = _frobenius_map(field, poly_pow_mod(field, cur, field.q, f), f)
+        for _ in range(k):
+            cur = frobenius(cur)
     return cur
 
 
@@ -192,8 +233,11 @@ def rabin_irreducible(field: Field, f) -> bool:
     """Deterministic irreducibility test for a monic f of degree >= 1.
 
     f is irreducible over F_q iff x**(q**n) = x (mod f) and, for every
-    prime r dividing n = deg f, gcd(x**(q**(n/r)) - x, f) = 1.  The q-th
-    powers are built incrementally, so a failed gcd aborts early.
+    prime r dividing n = deg f, gcd(x**(q**(n/r)) - x, f) = 1.  Only
+    x**q mod f is a square-and-multiply power; the later q-th powers
+    are steps of the Frobenius matrix (Berlekamp's Q-matrix), whose rows
+    x**(q*i) mod f cost n - 1 multiplications once.  A failed gcd aborts
+    early, and one at the first power aborts before the matrix is built.
     """
     _require_monic(f, "rabin_irreducible")
     return _rabin_cached(field, tuple(f))
@@ -203,13 +247,18 @@ def rabin_irreducible(field: Field, f) -> bool:
 def _rabin_cached(field: Field, coeffs: tuple[int, ...]) -> bool:
     f = list(coeffs)
     n = len(f) - 1
-    q = field.q
     gcd_points = {n // r for r in _prime_factors(n)}
     x = [0, 1]
-    cur = poly_rem(field, x, f)
-    for k in range(1, n + 1):
-        cur = poly_pow_mod(field, cur, q, f)
-        if k in gcd_points:
-            if degree(poly_gcd(field, poly_sub(field, cur, x), f)) != 0:
-                return False
+
+    def gcd_fails(cur) -> bool:
+        return degree(poly_gcd(field, poly_sub(field, cur, x), f)) != 0
+
+    cur = poly_pow_mod(field, poly_rem(field, x, f), field.q, f)
+    if 1 in gcd_points and gcd_fails(cur):
+        return False
+    frobenius = _frobenius_map(field, cur, f)
+    for k in range(2, n + 1):
+        cur = frobenius(cur)
+        if k in gcd_points and gcd_fails(cur):
+            return False
     return not poly_rem(field, poly_sub(field, cur, x), f)

@@ -211,6 +211,20 @@ def test_words_report_golden(tmp_path, capsys):
     }
 
 
+def test_words_family_pair_all_irreducible_at_depth_5(tmp_path, capsys):
+    # the paper proves every composition of an a/a+1 family pair
+    # irreducible, so all 2^L words of each length L are; degrees reach 32
+    code, out, _ = run_cli(
+        capsys, ["words", write_input(tmp_path, PAIR13), "--depth", "5"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mismatches"] == []
+    assert payload["irreducible_per_length"] == {
+        str(n): 2**n for n in range(1, 6)
+    }
+
+
 def test_words_default_depth_is_3(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["words", write_input(tmp_path, PAIR13)])
     assert code == 0

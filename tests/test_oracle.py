@@ -10,6 +10,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadsemi.field import make_field
 from quadsemi.oracle import CrosscheckReport, crosscheck
@@ -22,7 +23,9 @@ from quadsemi.polys import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_pow_mod,
     poly_rem,
+    poly_sub,
     rabin_irreducible,
 )
 from quadsemi.quadratic import (
@@ -200,6 +203,15 @@ def test_rabin_matches_trial_division_exhaustively(p, e):
             assert rabin_irreducible(field, f) == naive_irreducible(field, f)
 
 
+def test_rabin_matches_trial_division_exhaustively_over_f9():
+    # the extension-field path of the Frobenius matrix product
+    field = make_field(3, 2)
+    for n in (2, 3):
+        for tail in itertools.product(range(field.q), repeat=n):
+            f = list(tail) + [1]
+            assert rabin_irreducible(field, f) == naive_irreducible(field, f)
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
 def test_rabin_matches_trial_division_sampled(p, e):
     field = make_field(p, e)
@@ -208,6 +220,87 @@ def test_rabin_matches_trial_division_sampled(p, e):
         n = rng.choice([5, 6])
         f = [rng.randrange(field.q) for _ in range(n)] + [1]
         assert rabin_irreducible(field, f) == naive_irreducible(field, f)
+
+
+# Rootless reducible polynomials whose factors all divide x^(q^k) - x for
+# a gcd point k = n/r.  Those whose factor degrees all divide n pass the
+# final check x^(q^n) = x, so only the gcd at k rejects them; the
+# products of quadratics are caught only at k = n/3 and n/5, not at n/2.
+ROOTLESS_PRODUCTS = [
+    (3, ([1, 0, 1], [2, 1, 1], [2, 2, 1])),  # three quadratics
+    (5, ([1, 1, 1], [1, 4, 1], [2, 0, 1])),
+    (5, ([1, 1, 1], [1, 4, 1], [2, 0, 1], [2, 1, 1], [3, 0, 1])),  # five
+    (3, ([1, 0, 2, 1], [1, 1, 2, 1])),  # cubic * cubic
+    (5, ([1, 0, 1, 1], [1, 0, 2, 1])),
+    (3, ([1, 0, 1], [1, 0, 1, 1, 1])),  # quadratic * quartic
+    (5, ([2, 0, 1], [1, 0, 1, 1, 1])),
+    (3, ([1, 0, 2, 1], [1, 1, 2, 1], [1, 2, 0, 1])),  # three cubics
+    (5, ([1, 0, 1, 1], [1, 0, 2, 1], [1, 1, 0, 1])),
+    (3, ([1, 0, 0, 0, 2, 1], [1, 0, 0, 2, 1, 1])),  # quintic * quintic
+    (5, ([1, 0, 0, 0, 4, 1], [1, 0, 0, 2, 0, 1])),
+]
+
+
+@pytest.mark.parametrize("p,factors", ROOTLESS_PRODUCTS)
+def test_rabin_rejects_rootless_products_at_gcd_points(p, factors):
+    field = make_field(p)
+    f = [1]
+    for g in factors:
+        assert naive_irreducible(field, g)
+        f = poly_mul(field, f, g)
+    assert len(set(map(tuple, factors))) == len(factors)
+    assert all(poly_eval(field, f, x) for x in field.elements())
+    assert not rabin_irreducible(field, f)
+
+
+@pytest.mark.parametrize(
+    "p,f",
+    [
+        (3, [1, 0, 0, 0, 1, 1, 1]),
+        (5, [1, 0, 0, 0, 1, 1, 1]),
+        (3, [1, 0, 0, 0, 0, 0, 2, 1, 0, 1]),
+        (5, [1, 0, 0, 0, 0, 0, 0, 2, 3, 1]),
+    ],
+)
+def test_rabin_accepts_irreducible_degrees_6_and_9(p, f):
+    field = make_field(p)
+    assert naive_irreducible(field, f)
+    assert rabin_irreducible(field, f)
+
+
+# -- the Frobenius matrix against one square-and-multiply per step --
+
+def reference_rabin(field, f):
+    """Rabin's test with a fresh x -> x^q power mod f at every step."""
+    n = len(f) - 1
+    gcd_points = {
+        n // r for r in range(2, n + 1)
+        if n % r == 0 and all(r % d for d in range(2, r))
+    }
+    x = [0, 1]
+    cur = poly_rem(field, x, f)
+    for k in range(1, n + 1):
+        cur = poly_pow_mod(field, cur, field.q, f)
+        if k in gcd_points:
+            if degree(poly_gcd(field, poly_sub(field, cur, x), f)) != 0:
+                return False
+    return not poly_rem(field, poly_sub(field, cur, x), f)
+
+
+@pytest.mark.parametrize(
+    "p,e", [(3, 1), (5, 1), (13, 1), (17, 1), (101, 1), (3, 2), (5, 2), (3, 3)]
+)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_frobenius_matrix_matches_square_and_multiply(p, e, data):
+    field = make_field(p, e)
+    n = data.draw(st.integers(1, 16))
+    f = data.draw(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n)) + [1]
+    assert rabin_irreducible(field, f) == reference_rabin(field, f)
+    cur = poly_rem(field, [0, 1], f)
+    for k in range(n + 1):
+        assert frobenius_power(field, k, f) == cur
+        cur = poly_pow_mod(field, cur, field.q, f)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
