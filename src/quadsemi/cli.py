@@ -52,7 +52,10 @@ _MAX_DENSE_WITNESS = 12
 
 def _read_document(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("input must be a JSON object")
     return doc

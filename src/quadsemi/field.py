@@ -29,11 +29,14 @@ from .polys import _prime_factors
 # arithmetic works on digit vectors.
 _TABLE_LIMIT = 1 << 20
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: Miller-Rabin to these bases is exact below
+# psi_13 (Sorenson and Webster, 2017); make_field refuses p from there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below _MR_EXACT_BELOW (3.3e24)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -63,6 +66,13 @@ def _digits_of(value: int, p: int, e: int) -> list[int]:
         value, r = divmod(value, p)
         out.append(r)
     return out
+
+
+def _value_of(digits, p: int) -> int:
+    value = 0
+    for d in reversed(digits):
+        value = value * p + d
+    return value
 
 
 def _digit_mulmod(xd: list[int], yd: list[int], mod: tuple[int, ...], p: int, e: int) -> list[int]:
@@ -125,10 +135,7 @@ class Field:
         cur = _digits_of(1, p, e)
         for _ in range(n - 1):
             cur = _digit_mulmod(cur, gd, self.modulus, p, e)
-            v = 0
-            for d in reversed(cur):
-                v = v * p + d
-            powers.append(v)
+            powers.append(_value_of(cur, p))
         log = [0] * (n + 1)
         for k, v in enumerate(powers):
             log[v] = k
@@ -148,10 +155,7 @@ class Field:
         ds = list(digits)
         if len(ds) != self.e or any(not 0 <= d < self.p for d in ds):
             raise ValueError(f"expected {self.e} digits in [0, {self.p})")
-        value = 0
-        for d in reversed(ds):
-            value = value * self.p + d
-        return value
+        return _value_of(ds, self.p)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -169,7 +173,7 @@ class Field:
             return self._exp[lx + z] if z >= 0 else 0
         xd = _digits_of(x, self.p, self.e)
         yd = _digits_of(y, self.p, self.e)
-        return self.from_digits([(a + b) % self.p for a, b in zip(xd, yd)])
+        return _value_of([(a + b) % self.p for a, b in zip(xd, yd)], self.p)
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -180,7 +184,7 @@ class Field:
         if self._log is not None:  # -1 = g^((q - 1) / 2)
             return self._exp[self._log[x] + (self.q - 1) // 2] if x else 0
         p = self.p
-        return self.from_digits([-d % p for d in _digits_of(x, p, self.e)])
+        return _value_of([-d % p for d in _digits_of(x, p, self.e)], p)
 
     def mul(self, x: int, y: int) -> int:
         if self.e == 1:
@@ -189,13 +193,11 @@ class Field:
             return self._exp[self._log[x] + self._log[y]] if x and y else 0
         xd = _digits_of(x, self.p, self.e)
         yd = _digits_of(y, self.p, self.e)
-        return self.from_digits(_digit_mulmod(xd, yd, self.modulus, self.p, self.e))
+        return _value_of(_digit_mulmod(xd, yd, self.modulus, self.p, self.e), self.p)
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.e == 1:
-            return pow(x, self.p - 2, self.p)
         return self.pow(x, self.q - 2)
 
     def pow(self, x: int, n: int) -> int:
@@ -276,6 +278,8 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
     """
     if p == 2:
         raise ValueError("even characteristic unsupported")
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"p must be below {_MR_EXACT_BELOW}, where the primality test is exact")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
@@ -283,12 +287,11 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
 
     if e == 1:
         if modulus is not None:
-            mod = tuple(int(c) % p for c in modulus)
-            if len(mod) != 2 or tuple(modulus)[-1] != 1:
+            mod = tuple(int(c) for c in modulus)
+            if len(mod) != 2 or mod[-1] != 1:
                 raise ValueError("modulus for a prime field must be monic of degree 1")
-        else:
-            mod = (0, 1)
-        return Field(p, 1, mod)
+        # every monic linear modulus gives the same residue arithmetic
+        return Field(p, 1, (0, 1))
 
     prime_field = Field(p, 1, (0, 1))
     if modulus is None:

@@ -4,15 +4,17 @@ A polynomial is a little-endian list of encoded field elements with no
 trailing zeros; [] is the zero polynomial and degree([]) is -1.  The
 functions here are the ground-truth layer of the package: schoolbook
 multiplication, Euclidean division, gcd, modular powers, and the
-deterministic Rabin irreducibility test.  Rabin's test needs x**(q**k)
-mod f for k up to n = deg f.  The q-th power map is F_q-linear on
-F_q[x]/(f), so after one square-and-multiply for x**q the test builds
-the n x n Frobenius matrix (Berlekamp's Q-matrix, row i = x**(q*i) mod
-f), and every later q-th power is one matrix-vector product.  Speed
-matters for the exhaustive sweeps, so multiplication, reduction and the
-matrix product carry a fast path for prime fields (plain integer
-residues); the generic path works for any Field through its arithmetic,
-which is table-driven up to q = 2^20.
+deterministic Rabin irreducibility test.  ``poly_rem`` is the one
+long-division routine: every caller needs only the remainder, and a
+non-monic divisor is first scaled to monic, which leaves the remainder
+unchanged.  Rabin's test needs x**(q**k) mod f for k up to n = deg f.
+The q-th power map is F_q-linear on F_q[x]/(f), so after one
+square-and-multiply for x**q the test builds the n x n Frobenius matrix
+(Berlekamp's Q-matrix, row i = x**(q*i) mod f), and every later q-th
+power is one matrix-vector product.  Speed matters for the exhaustive
+sweeps, so multiplication, reduction and the matrix product carry a fast
+path for prime fields (plain integer residues); the generic path works
+for any Field through its arithmetic, which is table-driven up to q = 2^20.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ def degree(f) -> int:
 
 def poly_eval(field: Field, f, x: int) -> int:
     acc = 0
-    if field.e == 1:
-        p = field.p
-        for c in reversed(f):
-            acc = (acc * x + c) % p
-        return acc
     for c in reversed(f):
         acc = field.add(field.mul(acc, x), c)
     return acc
@@ -84,46 +81,26 @@ def poly_mul(field: Field, a, b) -> list[int]:
     return out
 
 
-def poly_divmod(field: Field, a, b) -> tuple[list[int], list[int]]:
-    """Quotient and remainder; b may be any nonzero polynomial."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = list(a)
-    db = len(b) - 1
-    if len(r) - 1 < db:
-        return [], normalize(r)
-    lead_inv = field.inv(b[-1])
-    quot = [0] * (len(r) - db)
-    if field.e == 1:
-        p = field.p
-        for k in range(len(r) - db - 1, -1, -1):
-            c = r[k + db] % p
-            if c:
-                c = c * lead_inv % p
-                quot[k] = c
-                for j in range(db + 1):
-                    r[k + j] = (r[k + j] - c * b[j]) % p
-        return normalize(quot), normalize(r)
-    sub, mul = field.sub, field.mul
-    for k in range(len(r) - db - 1, -1, -1):
-        c = mul(r[k + db], lead_inv)
-        if c:
-            quot[k] = c
-            for j in range(db + 1):
-                r[k + j] = sub(r[k + j], mul(c, b[j]))
-    return normalize(quot), normalize(r)
+def _monic(field: Field, f) -> list[int]:
+    """f divided by its leading coefficient; zero stays zero."""
+    if not f or f[-1] == 1:
+        return f
+    lead_inv, mul = field.inv(f[-1]), field.mul
+    return [mul(lead_inv, c) for c in f]
 
 
 def poly_rem(field: Field, a, b) -> list[int]:
+    """Remainder of a by a nonzero polynomial b."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     db = len(b) - 1
     if len(a) - 1 < db:
         return normalize(a)
+    if b[-1] != 1:
+        b = _monic(field, b)
     r = list(a)
-    if field.e == 1 and b[-1] == 1:
-        # monic divisor over a prime field: the tight inner loop of the
-        # whole package
+    if field.e == 1:
+        # the tight inner loop of the whole package
         p = field.p
         for k in range(len(r) - db - 1, -1, -1):
             c = r[k + db] % p
@@ -131,7 +108,13 @@ def poly_rem(field: Field, a, b) -> list[int]:
                 for j in range(db):
                     r[k + j] = (r[k + j] - c * b[j]) % p
         return normalize(r[:db])
-    return poly_divmod(field, a, b)[1]
+    sub, mul = field.sub, field.mul
+    for k in range(len(r) - db - 1, -1, -1):
+        c = r[k + db]
+        if c:
+            for j in range(db):
+                r[k + j] = sub(r[k + j], mul(c, b[j]))
+    return normalize(r[:db])
 
 
 def poly_gcd(field: Field, a, b) -> list[int]:
@@ -140,10 +123,7 @@ def poly_gcd(field: Field, a, b) -> list[int]:
     b = normalize(b)
     while b:
         a, b = b, poly_rem(field, a, b)
-    if not a or a[-1] == 1:
-        return a
-    lead_inv = field.inv(a[-1])
-    return [field.mul(lead_inv, c) for c in a]
+    return _monic(field, a)
 
 
 def poly_pow_mod(field: Field, base, n: int, modulus) -> list[int]:

@@ -90,6 +90,15 @@ def test_check_rejects_malformed_json(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_check_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, ["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_check_rejects_missing_file(capsys):
     code, _, err = run_cli(capsys, ["check", "/nonexistent/input.json"])
     assert code == 2
@@ -108,6 +117,9 @@ def test_check_rejects_missing_file(capsys):
         {"generators": [{"a": 0, "b": 3}]},
         {"field": {"p": 7}, "generators": [{"a": 0, "b": 3.5}]},
         {"field": {"p": 7}, "generators": [{"a": 0, "b": True}]},
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to
+        # the first 12 prime bases
+        {"field": {"p": 318665857834031151167461}, "generators": [{"a": 0, "b": 3}]},
     ],
 )
 def test_check_rejects_invalid_documents(tmp_path, capsys, doc):

@@ -14,6 +14,7 @@ from quadsemi.field import (
     is_prime,
     make_field,
 )
+from quadsemi.quadratic import GeneratorSet, MonicQuadratic
 
 # Squares (including 0) in small prime fields, frozen from direct
 # enumeration of x^2 over each field.
@@ -35,6 +36,8 @@ def test_is_prime_larger_values():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
     assert not is_prime(7919 * 7927)
+    # psi_12, the least strong pseudoprime to the first 12 prime bases
+    assert not is_prime(399165290221 * 798330580441)
 
 
 def test_make_field_rejects_even_characteristic():
@@ -47,6 +50,11 @@ def test_make_field_rejects_composite_characteristic():
         make_field(9)
     with pytest.raises(ValueError):
         make_field(15)
+    # psi_13, the least strong pseudoprime to the first 13 prime bases
+    # (Sorenson and Webster, 2017), is where the primality test stops
+    # being exact
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        make_field(3317044064679887385961981)
 
 
 def test_make_field_rejects_bad_extension_degree():
@@ -74,6 +82,16 @@ def test_supplied_modulus_accepted():
     f = make_field(3, 2, [2, 2, 1])
     assert f.modulus == (2, 2, 1)
     assert f.q == 9
+
+
+def test_prime_field_stores_trivial_modulus():
+    f = make_field(7, 1, [3, 1])
+    assert f.modulus == (0, 1)
+    assert f == make_field(7)
+    assert hash(f) == hash(make_field(7))
+    gens = [MonicQuadratic(1, 3)]
+    assert GeneratorSet(f, gens) == GeneratorSet(make_field(7), gens)
+    assert hash(GeneratorSet(f, gens)) == hash(GeneratorSet(make_field(7), gens))
 
 
 def test_supplied_modulus_rejected_when_reducible():
