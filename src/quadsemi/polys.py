@@ -11,17 +11,21 @@ unchanged.  Rabin's test needs x**(q**k) mod f for k up to n = deg f.
 The q-th power map is F_q-linear on F_q[x]/(f), so after one
 square-and-multiply for x**q the test builds the n x n Frobenius matrix
 (Berlekamp's Q-matrix, row i = x**(q*i) mod f), and every later q-th
-power is one matrix-vector product.  Speed matters for the exhaustive
-sweeps, so multiplication, reduction and the matrix product carry a fast
-path for prime fields (plain integer residues); the generic path works
-for any Field through its arithmetic, which is table-driven up to q = 2^20.
+power is one matrix-vector product.  Its rows past x**q are products
+with the matrix of multiplication by x**q mod f, whose rows are shifts
+of x**q reduced one division step at a time.  Speed matters for the
+exhaustive sweeps, so multiplication, reduction and the matrix product
+carry a fast path for prime fields (plain integer residues): there a
+matrix row is packed into one integer, a slot per coefficient, and a
+matrix-vector product is one sum of integer products.  The generic
+path works for any Field through its arithmetic, which is table-driven
+up to q = 2^20.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
-from operator import mul
+from operator import lshift, mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -146,36 +150,62 @@ def _require_monic(f, what: str) -> None:
         raise ValueError(f"{what} requires a monic polynomial of degree >= 1")
 
 
-def _frobenius_map(field: Field, xq, f):
-    """The step u -> u**q mod f on reduced polynomials u, as a product
-    with the Frobenius matrix, whose rows x**(q*i) mod f are built from
-    xq = x**q mod f with deg f - 1 multiplications.
+def _matrix_step(field: Field, rows):
+    """The linear map u -> sum of u[i] * rows[i] on polynomials of degree
+    < n, for n = len(rows) reduced rows of degree < n.
+
+    Over a prime field each row is packed into one integer with a slot of
+    w bits per coefficient (Kronecker substitution), w wide enough that a
+    sum of n products of residues, each at most (p - 1)**2, never carries
+    into the next slot.  A product is then one C-level sum of n integer
+    products, and each coefficient is one shift, mask and reduction.
     """
-    rows = [[1]]
-    for _ in range(len(f) - 2):
-        rows.append(poly_rem(field, poly_mul(field, rows[-1], xq), f))
-    cols = list(zip_longest(*rows, fillvalue=0))
+    n = len(rows)
     if field.e == 1:
         p = field.p
+        w = (n * (p - 1) ** 2).bit_length()
+        mask = (1 << w) - 1
+        shifts = range(0, n * w, w)
+        packed = [sum(map(lshift, row, shifts)) for row in rows]
 
         def step(u):
             # map() stops at the end of u, whose missing terms are zero
-            return normalize([sum(map(mul, u, col)) % p for col in cols])
+            acc = sum(map(mul, u, packed))
+            return normalize([(acc >> s & mask) % p for s in shifts])
 
         return step
     add, fmul = field.add, field.mul
 
     def step(u):
-        out = []
-        for col in cols:
-            acc = 0
-            for a, c in zip(u, col):
-                if a and c:
-                    acc = add(acc, fmul(a, c))
-            out.append(acc)
+        out = [0] * n
+        for a, row in zip(u, rows):
+            if a:
+                for j, c in enumerate(row):
+                    if c:
+                        out[j] = add(out[j], fmul(a, c))
         return normalize(out)
 
     return step
+
+
+def _frobenius_map(field: Field, xq, f):
+    """The step u -> u**q mod f on reduced polynomials u, as a product
+    with the Frobenius matrix (rows x**(q*i) mod f), given xq = x**q mod f.
+
+    Rows 0 and 1 are 1 and xq.  Each later row is the one before times
+    xq mod f: one product with the matrix of multiplication by xq, whose
+    row j is x**j * xq mod f, that is row j - 1 shifted up and reduced
+    by one division step.
+    """
+    n = len(f) - 1
+    shifted = [xq]
+    for _ in range(n - 1):
+        shifted.append(poly_rem(field, [0] + shifted[-1], f))
+    times_xq = _matrix_step(field, shifted)
+    rows = [[1], xq]
+    for _ in range(n - 2):
+        rows.append(times_xq(rows[-1]))
+    return _matrix_step(field, rows[:n])  # a linear f has the one row 1
 
 
 def frobenius_power(field: Field, k: int, f) -> list[int]:
@@ -216,8 +246,9 @@ def rabin_irreducible(field: Field, f) -> bool:
     prime r dividing n = deg f, gcd(x**(q**(n/r)) - x, f) = 1.  Only
     x**q mod f is a square-and-multiply power; the later q-th powers
     are steps of the Frobenius matrix (Berlekamp's Q-matrix), whose rows
-    x**(q*i) mod f cost n - 1 multiplications once.  A failed gcd aborts
-    early, and one at the first power aborts before the matrix is built.
+    x**(q*i) mod f cost n - 2 products with the matrix of multiplication
+    by x**q mod f once.  A failed gcd aborts early, and one at the first
+    power aborts before either matrix is built.
     """
     _require_monic(f, "rabin_irreducible")
     return _rabin_cached(field, tuple(f))

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from quadsemi.field import make_field
 from quadsemi.oracle import CrosscheckReport, crosscheck
 from quadsemi.polys import (
+    _matrix_step,
     degree,
     frobenius_power,
     normalize,
@@ -291,20 +292,57 @@ def reference_rabin(field, f):
     return not poly_rem(field, poly_sub(field, cur, x), f)
 
 
+M61 = 2**61 - 1
+P81 = 1208925819614629174706189  # the first prime above 2^80
+
+
 @pytest.mark.parametrize(
-    "p,e", [(3, 1), (5, 1), (13, 1), (17, 1), (101, 1), (3, 2), (5, 2), (3, 3)]
+    "p,e",
+    [(3, 1), (5, 1), (13, 1), (17, 1), (101, 1), (3, 2), (5, 2), (3, 3), (M61, 1), (P81, 1)],
 )
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_frobenius_matrix_matches_square_and_multiply(p, e, data):
+    # Over the small primes, degrees up to 40 sum long rows of packed
+    # products.  The two wide primes pack slots of more than 64 bits at
+    # any degree.  The reference pays a square-and-multiply with exponent
+    # q per step, which keeps them and the extension fields shorter.
     field = make_field(p, e)
-    n = data.draw(st.integers(1, 16))
+    max_n = 16 if e > 1 else 40 if p < 1000 else 8
+    n = data.draw(st.integers(1, max_n))
     f = data.draw(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n)) + [1]
     assert rabin_irreducible(field, f) == reference_rabin(field, f)
     cur = poly_rem(field, [0, 1], f)
     for k in range(n + 1):
         assert frobenius_power(field, k, f) == cur
         cur = poly_pow_mod(field, cur, field.q, f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("p", [3, 13, P81])
+def test_matrix_step_worst_case_does_not_carry(p, n):
+    # every entry and input coefficient p - 1 fills each packed slot with
+    # n products (p - 1)**2, the most its width must hold; shorter inputs
+    # leave the missing terms zero
+    field = make_field(p)
+    rows = [[p - 1] * n for _ in range(n)]
+    step = _matrix_step(field, rows)
+    for u in ([p - 1] * n, [p - 1] * (n // 2 + 1), [p - 1]):
+        plain = [sum(a * row[j] for a, row in zip(u, rows)) % p for j in range(n)]
+        assert step(u) == normalize(plain)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (P81, 1), (3, 2), (5, 2)])
+def test_rabin_and_frobenius_on_degree_one(p, e):
+    # every linear f is irreducible, and x**(q**k) = -c modulo x + c;
+    # c = 0 makes x**q mod f, the one row of the matrix of
+    # multiplication by x**q, zero
+    field = make_field(p, e)
+    for c in (0, 1, field.q - 1):
+        f = [c, 1]
+        assert rabin_irreducible(field, f)
+        for k in range(3):
+            assert frobenius_power(field, k, f) == normalize([field.neg(c)])
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
