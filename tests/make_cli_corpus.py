@@ -44,6 +44,10 @@ CENSUS = [
     ["census", "--p", "3", "--e", "2"],
     ["census", "--p", "3", "--e", "2", "--filter", "irreducible-generators-only"],
     ["census", "--p", "3", "--e", "2", "--format", "json", "--limit", "25"],
+    ["census", "--p", "11"],
+    ["census", "--p", "11", "--format", "json"],
+    ["census", "--p", "5", "--e", "2", "--limit", "500"],
+    ["census", "--p", "3", "--e", "3", "--filter", "no-linear-term"],
 ]
 VERIFY = [
     ["verify", "--lemma-7mod8", "7"],
