@@ -22,6 +22,7 @@ Exit codes: 0 = all compositions irreducible (or clean report),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -190,8 +191,11 @@ def cmd_census(args) -> int:
     rows = census_pairs(field, args.filter, args.limit)
     if args.format == "tsv":
         sys.stdout.write(census_tsv(rows))
-    else:
-        _print_json(census_json(rows))
+    else:  # written in batches: one string of 2^20 indented rows takes GBs
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(census_json(rows))
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     return 0
 
 

@@ -6,13 +6,22 @@ verification of the two shift-free non-existence facts at small primes:
     all-irreducible semigroup, whatever b.
   * p = 3 (mod 4): no pair x^2 - b_f, x^2 - b_g with b_f, b_g distinct
     non-squares yields an all-irreducible semigroup.
+
+The census reuses each swept quadratic in about q^2/2 pairs, so it
+decides its pairs on one image table per quadratic, built on first use,
+and never builds a generator set or a graph.  Everything else walks
+through the criterion module: the verify_* functions and the family
+stop at each set's first square, and nonsquare_pair_records reads its
+statistics off the whole closure.  A census over a field with
+q^2 > 2^20 is refused, and so is one of more than 2^20 pairs without a
+limit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .criterion import (
     check_semigroup_irreducible,
@@ -21,7 +30,7 @@ from .criterion import (
     verdict_from_graph,
 )
 from .field import Field, make_field
-from .quadratic import GeneratorSet, MonicQuadratic
+from .quadratic import GeneratorSet, MonicQuadratic, evaluate
 
 CENSUS_FILTERS = ("all", "irreducible-generators-only", "no-linear-term")
 
@@ -42,19 +51,92 @@ class CensusRow:
     reach_size: int
 
 
-def _census_quadratics(field: Field, census_filter: str) -> list[MonicQuadratic]:
-    if census_filter not in CENSUS_FILTERS:
-        raise ValueError(
-            f"unknown filter {census_filter!r}; expected one of {CENSUS_FILTERS}"
-        )
-    quads = [
-        MonicQuadratic(a, b) for a in range(field.q) for b in range(field.q)
-    ]
-    if census_filter == "irreducible-generators-only":
-        quads = [f for f in quads if not field.is_square(f.b)]
-    elif census_filter == "no-linear-term":
-        quads = [f for f in quads if f.a == 0]
-    return quads
+# Bounds checked before a census enumerates anything: the swept
+# quadratics (q^2 before any filter or limit applies) and, without a
+# limit, the number of pairs decided.
+_CENSUS_MAX_QUADRATICS = 1 << 20
+_CENSUS_MAX_PAIRS = 1 << 20
+# Image-table entries the kernel keeps at once; beyond them its cache
+# starts over, so a long limited census over a large field stays small.
+_CENSUS_MAX_TABLE_ENTRIES = 1 << 20
+
+
+def _census_quadratics(field: Field, census_filter: str) -> Sequence[int]:
+    """Codes a*q + b of the quadratics passing the filter, in (a, b) order."""
+    q = field.q
+    if census_filter == "all":
+        return range(q * q)
+    if census_filter == "no-linear-term":
+        return range(q)
+    nonsquares = [b for b in range(q) if not field.is_square(b)]
+    return [a * q + b for a in range(q) for b in nonsquares]
+
+
+def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[CensusRow]:
+    """The census row of each pair (f, g) of quadratic codes a*q + b,
+    decided on image tables built once per quadratic on first use.
+
+    Each row equals what verdict_from_graph(reachable_subgraph(...))
+    gives for GeneratorSet(field, [f, g]), walking in the same order
+    (sorted seeds, discovery order, f before g): reach_size counts the
+    whole closure, and witness_len is 1 for a square b, otherwise the
+    level of the first square node plus one.  That is the length of
+    witness_word's word, a shortest walk to that node plus an innermost
+    letter: its earlier chain values lie on lower levels, so they are
+    non-squares and the chain test cuts nothing.  Needs the field's
+    squareness table (q <= 2^20).
+    """
+    q = field.q
+    square = field._square_t
+    prime = field.p if field.e == 1 else 0
+    quads: dict[int, tuple] = {}  # code -> ((a, b), image table, -b)
+    max_quads = max(2, _CENSUS_MAX_TABLE_ENTRIES // q)
+    for cf, cg in pairs:
+        if cf not in quads or cg not in quads:
+            if len(quads) + 2 > max_quads:
+                quads.clear()
+            for code in (cf, cg):
+                if code in quads:
+                    continue
+                a, b = divmod(code, q)
+                if prime:
+                    table = [((u - a) * (u - a) - b) % prime for u in range(q)]
+                else:
+                    f = MonicQuadratic(a, b)
+                    table = [evaluate(field, f, u) for u in range(q)]
+                quads[code] = ((a, b), table, field.neg(b))
+        (f, tf, sf), (g, tg, sg) = quads[cf], quads[cg]
+
+        # the closure, level by level from the sorted seeds; the first
+        # square node's level is its shortest walk from a seed
+        lo, hi = (sf, sg) if sf < sg else (sg, sf)
+        level = [lo, hi] if lo != hi else [lo]
+        found: set[int] = set()
+        depth = square_depth = 0
+        while level:
+            depth += 1
+            sources, level = level, []
+            for u in sources:
+                v = tf[u]
+                if v not in found:
+                    found.add(v)
+                    if v != lo and v != hi:
+                        level.append(v)
+                    if not square_depth and square[v]:
+                        square_depth = depth
+                v = tg[u]
+                if v not in found:
+                    found.add(v)
+                    if v != lo and v != hi:
+                        level.append(v)
+                    if not square_depth and square[v]:
+                        square_depth = depth
+
+        if square[f[1]] or square[g[1]]:
+            witness_len = 1
+        else:
+            witness_len = square_depth + 1 if square_depth else 0
+        yield CensusRow(q, f, g, witness_len == 0, witness_len, len(found))
 
 
 def census_pairs(
@@ -63,25 +145,33 @@ def census_pairs(
     """One row per unordered pair of distinct quadratics passing the
     filter, in lexicographic (a1, b1) < (a2, b2) order; limit keeps the
     first rows of that order (none for 0; a negative limit is refused).
+
+    A field with q^2 > 2^20 is refused whatever the limit, and so is a
+    census of more than 2^20 pairs without a limit.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    rows: list[CensusRow] = []
-    quads = _census_quadratics(field, census_filter)
-    for f, g in itertools.islice(itertools.combinations(quads, 2), limit):
-        graph = reachable_subgraph(GeneratorSet(field, [f, g]))
-        verdict = verdict_from_graph(graph)
-        rows.append(
-            CensusRow(
-                q=field.q,
-                first=(f.a, f.b),
-                second=(g.a, g.b),
-                irreducible=verdict.irreducible,
-                witness_len=len(verdict.witness) if verdict.witness else 0,
-                reach_size=len(graph.nodes),
-            )
+    if census_filter not in CENSUS_FILTERS:
+        raise ValueError(
+            f"unknown filter {census_filter!r}; expected one of {CENSUS_FILTERS}"
         )
-    return rows
+    q = field.q
+    if q * q > _CENSUS_MAX_QUADRATICS:
+        raise ValueError(
+            f"a census over F_{q} sweeps q^2 = {q * q} quadratics, "
+            f"more than {_CENSUS_MAX_QUADRATICS}"
+        )
+    if limit is None:
+        n = {"all": q * q, "irreducible-generators-only": q * (q - 1) // 2}.get(
+            census_filter, q
+        )
+        if n * (n - 1) // 2 > _CENSUS_MAX_PAIRS:
+            raise ValueError(
+                f"a census of {n * (n - 1) // 2} pairs is more than "
+                f"{_CENSUS_MAX_PAIRS}; set --limit to decide only the first pairs"
+            )
+    quads = _census_quadratics(field, census_filter)
+    return list(_census_rows(field, itertools.islice(itertools.combinations(quads, 2), limit)))
 
 
 def example_family(field: Field) -> list[int]:

@@ -322,6 +322,15 @@ def test_census_rejects_composite_characteristic(capsys):
     assert "error:" in err
 
 
+def test_census_bounds_are_bad_input(capsys):
+    code, out, err = run_cli(capsys, ["census", "--p", "41"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--limit" in err
+    code, out, err = run_cli(capsys, ["census", "--p", "1031", "--limit", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "q^2" in err
+
+
 def test_census_rejects_unknown_filter_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--p", "7", "--filter", "everything"])

@@ -2,15 +2,25 @@
 small-prime verifications with their per-case records.
 """
 
+import functools
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadsemi.criterion import check_semigroup_irreducible, reachable_subgraph
+from quadsemi import search
+from quadsemi.criterion import (
+    check_semigroup_irreducible,
+    reachable_subgraph,
+    verdict_from_graph,
+)
 from quadsemi.field import make_field
 from quadsemi.quadratic import GeneratorSet, MonicQuadratic
 from quadsemi.search import (
     CENSUS_FILTERS,
+    _census_quadratics,
+    _census_rows,
     census_json,
     census_pairs,
     census_tsv,
@@ -105,9 +115,11 @@ def test_census_irreducible_generators_only_filter():
         assert not field.is_square(r.second[1])
 
 
-def test_census_rows_reproducible_through_criterion():
-    field = make_field(5)
-    for row in census_pairs(field):
+@pytest.mark.parametrize("census_filter", CENSUS_FILTERS)
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
+def test_census_rows_reproducible_through_criterion(p, e, census_filter):
+    field = make_field(p, e)
+    for row in census_pairs(field, census_filter):
         s = GeneratorSet(
             field,
             [MonicQuadratic(*row.first), MonicQuadratic(*row.second)],
@@ -117,6 +129,92 @@ def test_census_rows_reproducible_through_criterion():
         assert len(reachable_subgraph(s).nodes) == row.reach_size
         witness_len = len(verdict.witness) if verdict.witness else 0
         assert witness_len == row.witness_len
+
+
+def reference_row(field, f, g):
+    """(irreducible, witness_len, reach_size) of one pair of quadratic
+    codes a*q + b, read from the whole-closure walk.
+    """
+    s = GeneratorSet(
+        field, [MonicQuadratic(*divmod(f, field.q)), MonicQuadratic(*divmod(g, field.q))]
+    )
+    graph = reachable_subgraph(s)
+    verdict = verdict_from_graph(graph)
+    return verdict.irreducible, len(verdict.witness or ()), len(graph.nodes)
+
+
+CENSUS_SAMPLE_FIELDS = [
+    (p, 1) for p in range(17, 62, 2) if all(p % d for d in range(3, p, 2))
+] + [(5, 2), (3, 3), (7, 2)]
+cached_field = functools.lru_cache(maxsize=None)(make_field)
+
+
+@st.composite
+def census_pool_pairs(draw):
+    """A field, and two distinct quadratics from one of its census pools."""
+    field = cached_field(*draw(st.sampled_from(CENSUS_SAMPLE_FIELDS)))
+    quads = _census_quadratics(field, draw(st.sampled_from(CENSUS_FILTERS)))
+    i = draw(st.integers(0, len(quads) - 2))
+    later = range(i + 1, len(quads))
+    if draw(st.booleans()):  # half the pairs share b, hence one seed
+        b = quads[i] % field.q
+        later = [j for j in later if quads[j] % field.q == b] or later
+    return field, quads[i], quads[draw(st.sampled_from(later))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(census_pool_pairs())
+def test_census_kernel_matches_walk_sampled(drawn):
+    field, f, g = drawn
+    (row,) = _census_rows(field, [(f, g)])
+    assert (row.first, row.second) == (divmod(f, field.q), divmod(g, field.q))
+    assert (row.irreducible, row.witness_len, row.reach_size) == reference_row(
+        field, f, g
+    )
+
+
+def test_census_kernel_cache_start_over(monkeypatch):
+    # room for three tables only: the kernel rebuilds them all the time
+    field = make_field(7)
+    full = census_pairs(field)
+    monkeypatch.setattr(search, "_CENSUS_MAX_TABLE_ENTRIES", 3 * field.q)
+    assert census_pairs(field) == full
+
+
+@pytest.mark.parametrize("p,e", [(1021, 1), (31, 2)])
+def test_census_limit_near_the_q_bound_is_fast(p, e):
+    # q^2 close to 2^20: a few rows build only the tables they read
+    field = make_field(p, e)
+    start = time.perf_counter()
+    rows = census_pairs(field, limit=5)
+    assert time.perf_counter() - start < 1.0
+    assert [r.first + r.second for r in rows] == [(0, 0, 0, b) for b in range(1, 6)]
+    for r in rows:
+        f, g = r.first[0] * field.q + r.first[1], r.second[0] * field.q + r.second[1]
+        assert (r.irreducible, r.witness_len, r.reach_size) == reference_row(field, f, g)
+
+
+@pytest.mark.parametrize("p,e", [(1031, 1), (3, 7)])
+def test_census_refuses_more_than_2_20_quadratics(p, e):
+    field = make_field(p, e)
+    for limit in (None, 0, 1):
+        with pytest.raises(ValueError, match=r"q\^2"):
+            census_pairs(field, limit=limit)
+
+
+def test_census_pair_budget_without_limit(monkeypatch):
+    # 41^2 quadratics make 1,412,040 pairs; 59 * 29 non-square ones 1,462,905
+    with pytest.raises(ValueError, match="--limit"):
+        census_pairs(make_field(41))
+    with pytest.raises(ValueError, match="--limit"):
+        census_pairs(make_field(59), "irreducible-generators-only")
+    assert len(census_pairs(make_field(41), limit=3)) == 3
+    # the budget is inclusive: F_3 has exactly 36 pairs
+    monkeypatch.setattr(search, "_CENSUS_MAX_PAIRS", 36)
+    assert len(census_pairs(make_field(3))) == 36
+    monkeypatch.setattr(search, "_CENSUS_MAX_PAIRS", 35)
+    with pytest.raises(ValueError, match="--limit"):
+        census_pairs(make_field(3))
 
 
 def test_census_tsv_golden():
