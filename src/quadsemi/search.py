@@ -90,7 +90,7 @@ def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[Cen
     square = field._square_t
     prime = field.p if field.e == 1 else 0
     quads: dict[int, tuple] = {}  # code -> ((a, b), image table, -b)
-    max_quads = max(2, _CENSUS_MAX_TABLE_ENTRIES // q)
+    max_quads = _CENSUS_MAX_TABLE_ENTRIES // q
     for cf, cg in pairs:
         if cf not in quads or cg not in quads:
             if len(quads) + 2 > max_quads:
