@@ -39,6 +39,7 @@ from .oracle import crosscheck
 from .quadratic import GeneratorSet, MonicQuadratic, compose_word, from_coeffs
 from .search import (
     CENSUS_FILTERS,
+    _check_census_order,
     census_json,
     census_pairs,
     census_tsv,
@@ -149,7 +150,11 @@ def load_generator_set(doc: dict, max_generators: int) -> GeneratorSet:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # written in batches: one string of a census of 2^20 rows takes GBs
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _verdict_payload(verdict: Verdict) -> dict:
@@ -187,15 +192,12 @@ def cmd_words(args) -> int:
 
 
 def cmd_census(args) -> int:
-    field = make_field(args.p, args.e)
-    rows = census_pairs(field, args.filter, args.limit)
+    _check_census_order(args.p, args.e)  # before a large field is built
+    rows = census_pairs(make_field(args.p, args.e), args.filter, args.limit)
     if args.format == "tsv":
         sys.stdout.write(census_tsv(rows))
-    else:  # written in batches: one string of 2^20 indented rows takes GBs
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(census_json(rows))
-        for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
+    else:
+        _print_json(census_json(rows))
     return 0
 
 

@@ -51,9 +51,9 @@ class CensusRow:
     reach_size: int
 
 
-# Bounds checked before a census enumerates anything: the swept
-# quadratics (q^2 before any filter or limit applies) and, without a
-# limit, the number of pairs decided.
+# Bounds checked before a census decides any pair: the swept quadratics
+# (q^2 before any filter or limit applies, checked before anything is
+# enumerated) and, without a limit, the number of pairs decided.
 _CENSUS_MAX_QUADRATICS = 1 << 20
 _CENSUS_MAX_PAIRS = 1 << 20
 # Image-table entries the kernel keeps at once; beyond them its cache
@@ -139,6 +139,22 @@ def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[Cen
         yield CensusRow(q, f, g, witness_len == 0, witness_len, len(found))
 
 
+def _check_census_order(p: int, e: int) -> None:
+    """Refuse a census over F_{p^e} with q^2 > 2^20, whatever its limit.
+
+    Cheap before the field is built: p^e is multiplied out only until it
+    passes the bound.
+    """
+    q = 1
+    for _ in range(e if p > 1 else 0):  # make_field refuses p <= 1
+        q *= p
+        if q * q > _CENSUS_MAX_QUADRATICS:
+            name = f"F_{p}" if e == 1 else f"F_{p}^{e}"
+            raise ValueError(
+                f"a census over {name} sweeps q^2 > {_CENSUS_MAX_QUADRATICS} quadratics"
+            )
+
+
 def census_pairs(
     field: Field, census_filter: str = "all", limit: int | None = None
 ) -> list[CensusRow]:
@@ -155,22 +171,14 @@ def census_pairs(
         raise ValueError(
             f"unknown filter {census_filter!r}; expected one of {CENSUS_FILTERS}"
         )
-    q = field.q
-    if q * q > _CENSUS_MAX_QUADRATICS:
-        raise ValueError(
-            f"a census over F_{q} sweeps q^2 = {q * q} quadratics, "
-            f"more than {_CENSUS_MAX_QUADRATICS}"
-        )
-    if limit is None:
-        n = {"all": q * q, "irreducible-generators-only": q * (q - 1) // 2}.get(
-            census_filter, q
-        )
-        if n * (n - 1) // 2 > _CENSUS_MAX_PAIRS:
-            raise ValueError(
-                f"a census of {n * (n - 1) // 2} pairs is more than "
-                f"{_CENSUS_MAX_PAIRS}; set --limit to decide only the first pairs"
-            )
+    _check_census_order(field.p, field.e)
     quads = _census_quadratics(field, census_filter)
+    pairs = len(quads) * (len(quads) - 1) // 2
+    if limit is None and pairs > _CENSUS_MAX_PAIRS:
+        raise ValueError(
+            f"a census of {pairs} pairs is more than "
+            f"{_CENSUS_MAX_PAIRS}; set --limit to decide only the first pairs"
+        )
     return list(_census_rows(field, itertools.islice(itertools.combinations(quads, 2), limit)))
 
 

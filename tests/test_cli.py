@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -327,6 +328,13 @@ def test_census_bounds_are_bad_input(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "--limit" in err
     code, out, err = run_cli(capsys, ["census", "--p", "1031", "--limit", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "q^2" in err
+    # refused before the field is built: finding a modulus of degree 13
+    # over F_3 alone takes many seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["census", "--p", "3", "--e", "13", "--limit", "1"])
+    assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "q^2" in err
 
