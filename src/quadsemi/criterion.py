@@ -18,8 +18,7 @@ is reducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .quadratic import GeneratorSet, check_word, evaluate
 
@@ -37,8 +36,7 @@ def distinguished_set(generators: GeneratorSet) -> tuple[int, ...]:
     return tuple(sorted({field.neg(f.b) for f in generators.gens}))
 
 
-@dataclass(frozen=True)
-class ReachGraph:
+class ReachGraph(NamedTuple):
     """The part of the generator-application graph reachable from the
     distinguished set by paths of positive length, as far as explored.
 
@@ -54,9 +52,16 @@ class ReachGraph:
     generators: GeneratorSet
     seeds: tuple[int, ...]
     nodes: tuple[int, ...]
-    parent: dict[int, tuple[int, int]] = dc_field(repr=False)
+    parent: dict[int, tuple[int, int]]
     first_square: tuple[int, int, int] | None
-    targets: list[int] = dc_field(repr=False)
+    targets: list[int]
+
+    def __repr__(self) -> str:
+        # parent and targets are left out: a large closure has millions
+        return (
+            f"ReachGraph(generators={self.generators!r}, seeds={self.seeds!r}, "
+            f"nodes={self.nodes!r}, first_square={self.first_square!r})"
+        )
 
     @property
     def field(self) -> Field:
@@ -173,9 +178,11 @@ def witness_word(generators: GeneratorSet, graph: ReachGraph) -> tuple[int, ...]
     returned as a one-letter word (lowest index first).  Otherwise the
     walk seed -> ... -> square, read back from the square, gives the
     outer letters; the innermost letter is the lowest-index generator
-    whose -b equals the seed.  The candidate is then cut at the first
-    failing chain value, so no shorter outer-prefix of the result is
-    reducible.  Raises ValueError when nothing is reducible.
+    whose -b equals the seed.  No shorter outer-prefix of that word is
+    reducible: its chain values before the last are the walk's earlier
+    nodes, which lie on lower BFS levels than the first square node and
+    so are non-squares.  The tests check this on random and exhaustive
+    sets.  Raises ValueError when nothing is reducible.
     """
     field = generators.field
     for i, g in enumerate(generators.gens):
@@ -192,15 +199,10 @@ def witness_word(generators: GeneratorSet, graph: ReachGraph) -> tuple[int, ...]
     inner = next(
         j for j, g in enumerate(generators.gens) if field.neg(g.b) == u
     )
-    candidate = tuple(labels) + (inner,)
-    fail = _first_chain_failure(generators, candidate)
-    if fail is None:  # unreachable: the walk's square is a chain value
-        raise AssertionError("witness candidate unexpectedly irreducible")
-    return candidate[: fail + 1]
+    return tuple(labels) + (inner,)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the semigroup check.
 
     irreducible is True when every composition of the generators is

@@ -260,10 +260,12 @@ class Field:
 
 def _find_modulus(prime_field: Field, e: int) -> tuple[int, ...]:
     # smallest monic irreducible of degree e, candidates ordered by the
-    # coefficient tuple (constant term first)
+    # coefficient tuple (constant term first); those with constant term
+    # 0 come first in that order and are skipped, since x divides them
     from .polys import rabin_irreducible
 
-    for tail in itertools.product(range(prime_field.p), repeat=e):
+    p = prime_field.p
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         cand = list(tail) + [1]
         if rabin_irreducible(prime_field, cand):
             return tuple(cand)

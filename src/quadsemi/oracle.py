@@ -10,7 +10,7 @@ rather than a tautology.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .criterion import word_irreducible
 from .polys import rabin_irreducible
@@ -19,8 +19,7 @@ from .quadratic import GeneratorSet, compose_word
 __all__ = ["CrosscheckReport", "crosscheck"]
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     """Word-by-word comparison of the chain test against the dense test.
 
     words counts every word of length 1..depth over the generator set;

@@ -212,7 +212,10 @@ def frobenius_power(field: Field, k: int, f) -> list[int]:
     """Canonical representative of x**(q**k) in the quotient ring by f.
 
     Computed as k steps of the Frobenius matrix from x mod f, so
-    intermediate degrees never exceed deg f.
+    intermediate degrees never exceed deg f.  Nothing in the package
+    calls it; it stays public because it is how the tests reach
+    _frobenius_map, checking k matrix steps against k square-and-multiply
+    powerings x -> x**q mod f.
     """
     _require_monic(f, "frobenius_power")
     if k < 0:

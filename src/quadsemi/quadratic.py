@@ -11,8 +11,7 @@ f_i1(f_i2(... f_im(x) ...)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .polys import poly_mul
 
@@ -22,8 +21,7 @@ if TYPE_CHECKING:
 _GEN_LETTERS = "fgh"
 
 
-@dataclass(frozen=True, order=True)
-class MonicQuadratic:
+class MonicQuadratic(NamedTuple):
     """The polynomial (x - a)^2 - b with a, b encoded field elements."""
 
     a: int

@@ -20,8 +20,7 @@ limit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .criterion import (
     check_semigroup_irreducible,
@@ -35,8 +34,7 @@ from .quadratic import GeneratorSet, MonicQuadratic, evaluate
 CENSUS_FILTERS = ("all", "irreducible-generators-only", "no-linear-term")
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """One unordered pair of distinct monic quadratics and its verdict.
 
     first <= second as (a, b) tuples; witness_len is 0 for irreducible
@@ -82,9 +80,7 @@ def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[Cen
     whole closure, and witness_len is 1 for a square b, otherwise the
     level of the first square node plus one.  That is the length of
     witness_word's word, a shortest walk to that node plus an innermost
-    letter: its earlier chain values lie on lower levels, so they are
-    non-squares and the chain test cuts nothing.  Needs the field's
-    squareness table (q <= 2^20).
+    letter.  Needs the field's squareness table (q <= 2^20).
     """
     q = field.q
     square = field._square_t
@@ -219,8 +215,7 @@ def _checked_prime_field(p: int, residue: int, modulus: int) -> Field:
     return make_field(p)  # raises if p is not an odd prime
 
 
-@dataclass(frozen=True)
-class SingleGeneratorRecord:
+class SingleGeneratorRecord(NamedTuple):
     """Verdict for the singleton set {x^2 - b} at one value of b."""
 
     b: int
@@ -256,8 +251,7 @@ def verify_lemma_p7mod8(p: int) -> bool:
     return all(not r.irreducible for r in single_generator_records(p))
 
 
-@dataclass(frozen=True)
-class NonSquarePairRecord:
+class NonSquarePairRecord(NamedTuple):
     """Verdict and graph statistics for {x^2 - b_f, x^2 - b_g} with
     b_f, b_g distinct non-squares, over a prime p = 3 (mod 4).
 

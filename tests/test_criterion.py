@@ -40,6 +40,9 @@ PAIR13 = gset(F13, (5, 8), (6, 8))
 PAIR7_SHIFTED = gset(F7, (1, 5), (4, 5))
 PAIR7_REDUCIBLE = gset(F7, (0, 3), (0, 5))
 
+PRIMES_BELOW_200 = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
+cached_field = functools.lru_cache(maxsize=None)(make_field)
+
 
 def chain_lengths(g):
     """Length of each node's parent chain back to a seed."""
@@ -218,6 +221,55 @@ def test_witness_prefixes_all_irreducible_exhaustive(p, e):
             assert word_irreducible(s, v.witness[:cut])
 
 
+@st.composite
+def shifted_sets(draw):
+    """1-3 generators with a != 0 and b a non-square, over a prime field
+    below 200 or over F_9, F_25, F_27 (each half the time): every
+    witness then comes from a walk, not from a square b.
+    """
+    primes = st.sampled_from(PRIMES_BELOW_200).map(lambda p: (p, 1))
+    field = cached_field(*draw(primes | st.sampled_from([(3, 2), (5, 2), (3, 3)])))
+    nonsquares = [b for b in field.elements() if not field.is_square(b)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(1, field.q - 1))
+        gens.append(MonicQuadratic(a, draw(st.sampled_from(nonsquares))))
+    return GeneratorSet(field, gens)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shifted_sets())
+def test_witness_prefix_minimal_sampled(s):
+    # witness_word returns the walk's word uncut: it must be reducible
+    # and every proper outer prefix irreducible
+    v = check_semigroup_irreducible(s)
+    if v.irreducible:
+        return
+    assert not word_irreducible(s, v.witness)
+    for k in range(1, len(v.witness)):
+        assert word_irreducible(s, v.witness[:k])
+
+
+def test_reach_graph_repr_leaves_out_parent_and_targets():
+    g = reachable_subgraph(PAIR7_SHIFTED)
+    assert repr(g) == (
+        f"ReachGraph(generators={PAIR7_SHIFTED!r}, seeds=(2,), nodes=(3, 6), "
+        "first_square=None)"
+    )
+    # the a/a+1 family pair over F_100003: 45,663 nodes, 91,326 targets
+    big = reachable_subgraph(gset(make_field(100003), (5, 8), (6, 8)))
+    assert len(big.nodes) > 40000 and len(big.targets) == 2 * len(big.nodes)
+    assert len(repr(big)) < len(repr(big.nodes)) + 200
+
+
+def test_records_are_tuples():
+    v = check_semigroup_irreducible(PAIR7_REDUCIBLE)
+    assert v[:3] == (False, REASON_REACHABLE, (0, 1))
+    assert MonicQuadratic(0, 3) == (0, 3)
+    with pytest.raises(AttributeError):
+        v.witness = (0,)
+
+
 @pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2)])
 def test_criterion_monotone_under_subsets(p, e):
     # an all-irreducible pair keeps both of its singletons irreducible
@@ -329,10 +381,6 @@ def test_early_exit_matches_closure_exhaustive(p, e):
     for size in (1, 2):
         for gens in itertools.combinations(quads, size):
             assert_early_exit_matches_closure(GeneratorSet(field, gens))
-
-
-PRIMES_BELOW_200 = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
-cached_field = functools.lru_cache(maxsize=None)(make_field)
 
 
 @st.composite

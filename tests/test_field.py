@@ -2,15 +2,18 @@
 and squareness testing, exhaustively at desk scale.
 """
 
+import itertools
 import random
 
 import pytest
 
+import quadsemi.polys
 from quadsemi.field import (
     _TABLE_LIMIT,
     Field,
     _digit_mulmod,
     _digits_of,
+    _find_modulus,
     is_prime,
     make_field,
 )
@@ -76,6 +79,52 @@ def test_extension_field_shape_and_modulus():
     assert f9.modulus == (1, 0, 1)
     f25 = make_field(5, 2)
     assert f25.modulus == (1, 1, 1)
+
+
+def smallest_irreducible_by_trial_division(p, e):
+    """The first monic degree-e polynomial over F_p, by coefficient tuple
+    from the constant term up, that no monic polynomial of degree
+    1..e/2 divides; integer long division only.
+    """
+
+    def divides(g, f):
+        r = list(f)
+        for k in range(len(f) - len(g), -1, -1):
+            c = r[k + len(g) - 1]
+            for j, gj in enumerate(g):
+                r[k + j] = (r[k + j] - c * gj) % p
+        return not any(r)
+
+    for tail in itertools.product(range(p), repeat=e):
+        f = list(tail) + [1]
+        if not any(
+            divides(list(g) + [1], f)
+            for d in range(1, e // 2 + 1)
+            for g in itertools.product(range(p), repeat=d)
+        ):
+            return tuple(f)
+
+
+@pytest.mark.parametrize(
+    "p,e",
+    [(3, e) for e in range(2, 7)] + [(5, e) for e in range(2, 5)] + [(7, 2), (7, 3), (11, 2)],
+)
+def test_default_modulus_is_smallest_irreducible(p, e, monkeypatch):
+    # the candidates x divides are never tested, and the choice (so the
+    # element encoding) is the brute-force one
+    tested = []
+    rabin = quadsemi.polys.rabin_irreducible
+
+    def spy(field, f):
+        tested.append(f[0])
+        return rabin(field, f)
+
+    monkeypatch.setattr(quadsemi.polys, "rabin_irreducible", spy)
+    expected = smallest_irreducible_by_trial_division(p, e)
+    assert _find_modulus(make_field(p), e) == expected
+    assert 0 not in tested
+    monkeypatch.undo()
+    assert make_field(p, e).modulus == expected
 
 
 def test_supplied_modulus_accepted():
