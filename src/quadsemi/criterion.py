@@ -109,14 +109,19 @@ def reachable_subgraph(
     # the map kernel: over a prime field each map is inlined as integer
     # arithmetic, otherwise it runs on the field's arithmetic
     prime = field.p if field.e == 1 else 0
-    maps = [(i, g, g.a, g.b) for i, g in enumerate(gens)]
+    maps = [(i, g.a, g.b) for i, g in enumerate(gens)]
+    sub, mul = field.sub, field.mul
 
     pos = 0
     while pos < len(sources) and not done:
         u = sources[pos]
         pos += 1
-        for i, g, a, b in maps:
-            v = ((u - a) * (u - a) - b) % prime if prime else evaluate(field, g, u)
+        for i, a, b in maps:
+            if prime:
+                v = ((u - a) * (u - a) - b) % prime
+            else:
+                t = sub(u, a)
+                v = sub(mul(t, t), b)
             targets.append(v)
             if v in parent:
                 continue

@@ -9,18 +9,20 @@ verification of the two shift-free non-existence facts at small primes:
 
 The census reuses each swept quadratic in about q^2/2 pairs, so it
 decides its pairs on one image table per quadratic, built on first use,
-and never builds a generator set or a graph.  Everything else walks
-through the criterion module: the verify_* functions and the family
-stop at each set's first square, and nonsquare_pair_records reads its
-statistics off the whole closure.  A census over a field with
-q^2 > 2^20 is refused, and so is one of more than 2^20 pairs without a
-limit.
+and never builds a generator set or a graph.  The verify_* functions
+need only a yes or no per shift-free set, so each set is decided by a
+walk over bare integers that returns at its first square node.  The
+records and the family walk through the criterion module:
+single_generator_records and example_family stop at each set's first
+square, and nonsquare_pair_records reads its statistics off the whole
+closure.  A census over a field with q^2 > 2^20 is refused, and so is
+one of more than 2^20 pairs without a limit.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .criterion import (
     check_semigroup_irreducible,
@@ -215,6 +217,36 @@ def _checked_prime_field(p: int, residue: int, modulus: int) -> Field:
     return make_field(p)  # raises if p is not an odd prime
 
 
+def _reaches_square(
+    shifts: Sequence[int], p: int, is_square: Callable[[int], bool]
+) -> bool:
+    """Whether a walk of positive length from the seeds {-b} under the
+    maps u -> u^2 - b over F_p, one per b in shifts, reaches a square.
+
+    The verdict of check_semigroup_irreducible for the shift-free set
+    {x^2 - b : b in shifts} with non-square b is the negation of this,
+    reached without a generator set, a graph or a witness.  The walk
+    goes level by level; each newly found element, a re-entered seed
+    included, is tested once, and seeds are expanded only at the start.
+    """
+    seeds = {-b % p for b in shifts}
+    level = list(seeds)
+    found: set[int] = set()
+    while level:
+        sources, level = level, []
+        for u in sources:
+            uu = u * u
+            for b in shifts:
+                v = (uu - b) % p
+                if v not in found:
+                    if is_square(v):
+                        return True
+                    found.add(v)
+                    if v not in seeds:
+                        level.append(v)
+    return False
+
+
 class SingleGeneratorRecord(NamedTuple):
     """Verdict for the singleton set {x^2 - b} at one value of b."""
 
@@ -245,10 +277,12 @@ def single_generator_records(p: int) -> list[SingleGeneratorRecord]:
 
 def verify_lemma_p7mod8(p: int) -> bool:
     """True iff every singleton {x^2 - b} over F_p has a reducible
-    composition — square b splits at degree 2, and for p = 7 (mod 8)
-    every non-square b is caught by the reachability check.
+    composition (p = 7 (mod 8)): a square b splits at degree 2, and for
+    each non-square b the walk of _reaches_square finds a square.
     """
-    return all(not r.irreducible for r in single_generator_records(p))
+    field = _checked_prime_field(p, residue=7, modulus=8)
+    is_square = field.is_square
+    return all(is_square(b) or _reaches_square((b,), p, is_square) for b in range(p))
 
 
 class NonSquarePairRecord(NamedTuple):
@@ -271,27 +305,28 @@ class NonSquarePairRecord(NamedTuple):
     indegree_at_most_one: bool
 
 
-def _nonsquare_pairs(p: int) -> Iterator[GeneratorSet]:
-    """{x^2 - b_f, x^2 - b_g} for non-squares b_f < b_g of F_p, p = 3 (mod 4)."""
-    field = _checked_prime_field(p, residue=3, modulus=4)
-    nonsquares = [b for b in range(p) if not field.is_square(b)]
-    return (
-        GeneratorSet(field, [MonicQuadratic(0, b_f), MonicQuadratic(0, b_g)])
-        for b_f, b_g in itertools.combinations(nonsquares, 2)
-    )
+def _nonsquare_pairs(field: Field) -> Iterator[tuple[int, int]]:
+    """Every pair b_f < b_g of non-squares of the field."""
+    nonsquares = [b for b in range(field.q) if not field.is_square(b)]
+    return itertools.combinations(nonsquares, 2)
 
 
 def nonsquare_pair_records(p: int) -> list[NonSquarePairRecord]:
-    """Verdict and whole-closure statistics for each of _nonsquare_pairs(p)."""
+    """Verdict and whole-closure statistics for {x^2 - b_f, x^2 - b_g}
+    over each pair of _nonsquare_pairs, for p = 3 (mod 4).
+    """
+    field = _checked_prime_field(p, residue=3, modulus=4)
     records = []
-    for s in _nonsquare_pairs(p):
-        graph = reachable_subgraph(s)
+    for b_f, b_g in _nonsquare_pairs(field):
+        graph = reachable_subgraph(
+            GeneratorSet(field, [MonicQuadratic(0, b_f), MonicQuadratic(0, b_g)])
+        )
         verdict = verdict_from_graph(graph)
         squares = graph.square_nodes()
         records.append(
             NonSquarePairRecord(
-                b_f=s.gens[0].b,
-                b_g=s.gens[1].b,
+                b_f=b_f,
+                b_g=b_g,
                 irreducible=verdict.irreducible,
                 witness=verdict.witness or (),
                 node_count=len(graph.nodes),
@@ -305,10 +340,12 @@ def nonsquare_pair_records(p: int) -> list[NonSquarePairRecord]:
 
 def verify_prop_p3mod4(p: int) -> bool:
     """True iff every shift-free pair of distinct non-square b values
-    over F_p has a reducible composition (p = 3 (mod 4)).
+    over F_p has a reducible composition (p = 3 (mod 4)), that is, the
+    walk of _reaches_square finds a square for each pair.
     """
-    return not any(
-        check_semigroup_irreducible(s).irreducible for s in _nonsquare_pairs(p)
+    field = _checked_prime_field(p, residue=3, modulus=4)
+    return all(
+        _reaches_square(pair, p, field.is_square) for pair in _nonsquare_pairs(field)
     )
 
 

@@ -57,6 +57,8 @@ VERIFY = [
     ["verify", "--prop-3mod4", "11"],
     ["verify", "--prop-3mod4", "19"],
     ["verify", "--prop-3mod4", "23"],
+    ["verify", "--prop-3mod4", "503"],
+    ["verify", "--lemma-7mod8", "503"],
 ]
 DOCUMENT_COMMANDS = [["check"], ["witness"], ["words", "--depth", WORDS_DEPTH], ["dot"]]
 

@@ -21,6 +21,7 @@ from quadsemi.search import (
     CENSUS_FILTERS,
     _census_quadratics,
     _census_rows,
+    _reaches_square,
     census_json,
     census_pairs,
     census_tsv,
@@ -293,8 +294,8 @@ def test_example_family_works_over_extension_field():
 # -- single-generator verification (p = 7 mod 8) --
 
 def test_verify_single_generator_small_primes():
-    assert verify_lemma_p7mod8(7)
-    assert verify_lemma_p7mod8(23)
+    assert verify_lemma_p7mod8(7) is True
+    assert verify_lemma_p7mod8(23) is True
 
 
 def test_single_generator_records_f7():
@@ -326,8 +327,8 @@ def test_verify_single_generator_rejects_composite():
 # -- non-square pair verification (p = 3 mod 4) --
 
 def test_verify_nonsquare_pairs_small_primes():
-    assert verify_prop_p3mod4(7)
-    assert verify_prop_p3mod4(11)
+    assert verify_prop_p3mod4(7) is True
+    assert verify_prop_p3mod4(11) is True
 
 
 def test_nonsquare_pair_records_f7():
@@ -360,6 +361,67 @@ def test_verify_nonsquare_pairs_wrong_residue():
         verify_prop_p3mod4(13)
     with pytest.raises(ValueError):
         verify_prop_p3mod4(15)  # right residue, not prime
+
+
+# -- the verdict-only walk behind both verifications --
+
+def test_reaches_square_matches_criterion():
+    # every shift-free singleton and pair with non-square b, at every
+    # prime 5 <= p < 110, against the decision of the criterion module
+    outcomes = set()
+    for p in range(5, 110):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        field = make_field(p)
+        nonsquares = [b for b in range(p) if not field.is_square(b)]
+        shift_sets = [(b,) for b in nonsquares]
+        shift_sets += itertools.combinations(nonsquares, 2)
+        for shifts in shift_sets:
+            verdict = check_semigroup_irreducible(
+                GeneratorSet(field, [MonicQuadratic(0, b) for b in shifts])
+            )
+            got = _reaches_square(shifts, p, field.is_square)
+            assert got is (not verdict.irreducible), (p, shifts)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_reaches_square_tests_each_closure_node_once():
+    # with no square anywhere the walk tests every node of the whole
+    # closure exactly once, a seed that some walk re-enters included;
+    # the verdicts alone do not show a skipped seed, because on every
+    # non-square set tried a walk that re-enters a seed also reaches
+    # another square
+    reentered = 0
+    for p in (5, 7, 11, 13, 19, 23):
+        field = make_field(p)
+        shift_sets = [(b,) for b in range(p)]
+        shift_sets += itertools.combinations(range(p), 2)
+        for shifts in shift_sets:
+            tested = []
+
+            def never_square(v):
+                assert 0 <= v < p
+                tested.append(v)
+                return False
+
+            assert _reaches_square(shifts, p, never_square) is False
+            graph = reachable_subgraph(
+                GeneratorSet(field, [MonicQuadratic(0, b) for b in shifts])
+            )
+            assert sorted(tested) == sorted(graph.nodes), (p, shifts)
+            reentered += bool(set(graph.seeds) & set(graph.nodes))
+    assert reentered
+
+
+def test_reaches_square_false_on_irreducible_singletons():
+    # {x^2 - 2} over F_5 and {x^2 - 5} over F_13: no square is reachable
+    for p, b in ((5, 2), (13, 5)):
+        field = make_field(p)
+        assert check_semigroup_irreducible(
+            GeneratorSet(field, [MonicQuadratic(0, b)])
+        ).irreducible
+        assert _reaches_square((b,), p, field.is_square) is False
 
 
 def test_shifted_pairs_escape_the_nonsquare_obstruction():
