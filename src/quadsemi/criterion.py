@@ -18,7 +18,7 @@ is reducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .quadratic import GeneratorSet, check_word, evaluate
 
@@ -41,12 +41,15 @@ class ReachGraph(NamedTuple):
     distinguished set by paths of positive length, as far as explored.
 
     nodes lists elements in BFS discovery order; a distinguished value
-    appears among the nodes only if some walk re-enters it.  targets
-    holds one image per expanded source (in sources() order) and per
-    generator.  parent maps each node to the (predecessor, generator
-    index) that first discovered it: its chain back to a seed is a
-    shortest walk.  first_square is the edge that discovered the earliest
-    square node, or None when every explored node is a non-square.
+    appears among the nodes only if some walk re-enters it.  parent maps
+    each node to the (predecessor, generator index) that first discovered
+    it: its chain back to a seed is a shortest walk.  first_square is the
+    edge that discovered the earliest square node, or None when every
+    explored node is a non-square.  expanded counts the walk's map
+    evaluations: one per expanded source (in sources() order) and
+    generator, fewer on the last source when the walk stopped at a
+    square.  The images themselves are not stored; iter_edges, edges and
+    targets evaluate the maps again.
     """
 
     generators: GeneratorSet
@@ -54,10 +57,10 @@ class ReachGraph(NamedTuple):
     nodes: tuple[int, ...]
     parent: dict[int, tuple[int, int]]
     first_square: tuple[int, int, int] | None
-    targets: list[int]
+    expanded: int
 
     def __repr__(self) -> str:
-        # parent and targets are left out: a large closure has millions
+        # parent is left out: a large closure has millions of entries
         return (
             f"ReachGraph(generators={self.generators!r}, seeds={self.seeds!r}, "
             f"nodes={self.nodes!r}, first_square={self.first_square!r})"
@@ -79,12 +82,35 @@ class ReachGraph(NamedTuple):
         seed_set = set(self.seeds)
         return list(self.seeds) + [v for v in self.nodes if v not in seed_set]
 
+    def iter_edges(self) -> Iterator[tuple[int, int, int]]:
+        """(source, generator index, image) per map evaluation of the
+        walk, in walk order, evaluated again with the walk's kernel.
+        """
+        field = self.field
+        prime = field.p if field.e == 1 else 0
+        maps = [(i, g.a, g.b) for i, g in enumerate(self.generators.gens)]
+        sub, mul = field.sub, field.mul
+        left = self.expanded
+        for u in self.sources():
+            for i, a, b in maps:
+                if not left:
+                    return
+                left -= 1
+                if prime:
+                    yield u, i, ((u - a) * (u - a) - b) % prime
+                else:
+                    t = sub(u, a)
+                    yield u, i, sub(mul(t, t), b)
+
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """(source, generator index, target) per entry of targets."""
-        n = len(self.generators)
-        sources = self.sources()
-        return tuple((sources[k // n], k % n, v) for k, v in enumerate(self.targets))
+        """(source, generator index, target) per map evaluation."""
+        return tuple(self.iter_edges())
+
+    @property
+    def targets(self) -> list[int]:
+        """The image of each map evaluation, in walk order."""
+        return [v for _u, _i, v in self.iter_edges()]
 
 
 def reachable_subgraph(
@@ -103,43 +129,43 @@ def reachable_subgraph(
     seed_set = set(seeds)
     sources: list[int] = list(seeds)
     parent: dict[int, tuple[int, int]] = {}
-    targets: list[int] = []
     first_square: tuple[int, int, int] | None = None
-    done = _stop_at_square and any(field.is_square(g.b) for g in gens)
+    expanded = 0
     # the map kernel: over a prime field each map is inlined as integer
     # arithmetic, otherwise it runs on the field's arithmetic
     prime = field.p if field.e == 1 else 0
     maps = [(i, g.a, g.b) for i, g in enumerate(gens)]
-    sub, mul = field.sub, field.mul
+    sub, mul, is_square = field.sub, field.mul, field.is_square
 
-    pos = 0
-    while pos < len(sources) and not done:
-        u = sources[pos]
-        pos += 1
-        for i, a, b in maps:
-            if prime:
-                v = ((u - a) * (u - a) - b) % prime
-            else:
-                t = sub(u, a)
-                v = sub(mul(t, t), b)
-            targets.append(v)
-            if v in parent:
-                continue
-            parent[v] = (u, i)
-            if v not in seed_set:
-                sources.append(v)
-            if first_square is None and field.is_square(v):
-                first_square = (u, i, v)
-                if _stop_at_square:
-                    done = True
-                    break
+    if not (_stop_at_square and any(is_square(g.b) for g in gens)):
+        for pos, u in enumerate(sources):  # grows while it is walked
+            for i, a, b in maps:
+                if prime:
+                    v = ((u - a) * (u - a) - b) % prime
+                else:
+                    t = sub(u, a)
+                    v = sub(mul(t, t), b)
+                if v in parent:
+                    continue
+                parent[v] = (u, i)
+                if v not in seed_set:
+                    sources.append(v)
+                if first_square is None and is_square(v):
+                    first_square = (u, i, v)
+                    if _stop_at_square:
+                        expanded = pos * len(maps) + i + 1
+                        break
+            if expanded:
+                break
+        else:
+            expanded = len(sources) * len(maps)
     return ReachGraph(
         generators=generators,
         seeds=seeds,
         nodes=tuple(parent),  # insertion order is discovery order
         parent=parent,
         first_square=first_square,
-        targets=targets,
+        expanded=expanded,
     )
 
 
@@ -258,7 +284,7 @@ def max_indegree_from_nonsquares(graph: ReachGraph) -> int:
     field = graph.field
     nodes = graph.node_set()
     counts: dict[tuple[int, int], int] = {}
-    for u, i, v in graph.edges:
+    for u, i, v in graph.iter_edges():
         if u in nodes and v in nodes and not field.is_square(u):
             key = (i, v)
             counts[key] = counts.get(key, 0) + 1
@@ -285,9 +311,7 @@ def export_dot(graph: ReachGraph) -> str:
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{v}"{suffix};')
     names = [gens.name(i) for i in range(len(gens))]
-    targets = iter(graph.targets)
-    for u in sources:  # each source takes the next len(gens) targets
-        for name, v in zip(names, targets):
-            lines.append(f'  "{u}" -> "{v}" [label="{name}"];')
+    for u, i, v in graph.iter_edges():
+        lines.append(f'  "{u}" -> "{v}" [label="{names[i]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

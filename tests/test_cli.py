@@ -2,6 +2,7 @@
 byte-deterministic output for every command.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,8 +11,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadsemi.cli import main
+from quadsemi.cli import _INT_BATCH, _print_json, main
 
 PAIR13 = {
     "field": {"p": 13},
@@ -479,6 +481,52 @@ def test_output_digests_on_larger_closures(
     assert code == exit_code
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# -- the JSON writer against json.dumps --
+
+# small, above 2^64, and anywhere in between with either sign
+INTS = st.one_of(
+    st.integers(-3, 300), st.integers(2**64, 2**70), st.integers(-(2**70), 2**70)
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTS, st.text()),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+# int lists longer than one batch of the writer, as arithmetic progressions
+LONG_INT_LISTS = st.builds(
+    lambda start, step, n: [start + k * step for k in range(n)],
+    INTS,
+    st.integers(-(2**66), 2**66),
+    st.sampled_from([_INT_BATCH, _INT_BATCH + 1, 2 * _INT_BATCH, 2 * _INT_BATCH + 7]),
+)
+TOP_VALUES = st.one_of(
+    JSON_VALUES,
+    st.lists(INTS, max_size=6),
+    st.lists(INTS, min_size=1, max_size=6).map(tuple),
+    st.lists(st.booleans(), min_size=1, max_size=4),
+    LONG_INT_LISTS,
+)
+PAYLOADS = st.one_of(
+    st.dictionaries(st.text(max_size=6), TOP_VALUES, max_size=5),
+    st.dictionaries(st.integers(), TOP_VALUES, max_size=3),
+    JSON_VALUES,
+    st.lists(TOP_VALUES, max_size=3),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(PAYLOADS)
+def test_print_json_matches_json_dumps(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_json(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # -- process-level entry --

@@ -6,6 +6,7 @@ export, pinned against hand-checked values over F_7 and F_13.
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +261,44 @@ def test_reach_graph_repr_leaves_out_parent_and_targets():
     big = reachable_subgraph(gset(make_field(100003), (5, 8), (6, 8)))
     assert len(big.nodes) > 40000 and len(big.targets) == 2 * len(big.nodes)
     assert len(repr(big)) < len(repr(big.nodes)) + 200
+
+
+# -- edges derived from the walk, not stored --
+
+
+def test_expanded_counts_the_derived_targets():
+    # whole closure: every source expanded under every generator
+    g = reachable_subgraph(PAIR13)
+    assert g.expanded == len(g.targets) == len(g.sources()) * 2
+    assert len(g.edges) == g.expanded
+    # early exit at a square: the last image is the first square node
+    g = check_semigroup_irreducible(PAIR7_REDUCIBLE).graph
+    assert g.first_square is not None
+    assert g.expanded == len(g.targets) < len(g.sources()) * 2
+    assert g.edges[-1] == g.first_square
+    # a square b: the walk never starts
+    g = check_semigroup_irreducible(gset(F7, (0, 3), (0, 2))).graph
+    assert g.expanded == 0 and g.targets == [] and g.edges == ()
+
+
+def test_closure_memory_per_node():
+    # the a/a+1 family pair over F_100003 (45,663 nodes).  Storing one
+    # image per edge took 217 B per node at the walk's peak; without that
+    # list it takes 175 B.
+    s = gset(make_field(100003), (5, 8), (6, 8))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        g = reachable_subgraph(s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(g.nodes) == 45663
+    assert peak / len(g.nodes) < 196
 
 
 def test_records_are_tuples():
