@@ -149,57 +149,13 @@ def load_generator_set(doc: dict, max_generators: int) -> GeneratorSet:
     return generators
 
 
-# entries of an int list per string written
-_INT_BATCH = 4096
-
-
-def _is_int_list(value) -> bool:
-    # bools print as true/false, so they take the encoder's path
-    return isinstance(value, (list, tuple)) and bool(value) and all(
-        type(x) is int for x in value
-    )
-
-
-def _write_chunks(chunks, indent: str = "") -> None:
-    # written in batches: one string of a census of 2^20 rows takes GBs
-    for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""):
-        sys.stdout.write(batch.replace("\n", "\n" + indent) if indent else batch)
-
-
 def _print_json(payload) -> None:
-    """Print json.dumps(payload, indent=2, sort_keys=True) and a newline.
-
-    The int lists of a top-level dict with string keys, such as the
-    closure `check` prints, are written by joining their entries in
-    batches; every other value goes through the stdlib encoder, one
-    level deeper.  A literal newline in its output is always an indent,
-    since strings escape theirs.
-    """
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    if not (
-        isinstance(payload, dict)
-        and payload
-        and all(type(k) is str for k in payload)
-    ):
-        _write_chunks(encoder.iterencode(payload))
-        sys.stdout.write("\n")
-        return
-    sep = "{"
-    for key, value in sorted(payload.items()):
-        sys.stdout.write(f"{sep}\n  {json.dumps(key)}: ")
-        sep = ","
-        if _is_int_list(value):
-            entries = map(str, value)
-            join = ",\n    ".join
-            sys.stdout.write("[\n    ")
-            batches = iter(lambda: join(itertools.islice(entries, _INT_BATCH)), "")
-            sys.stdout.write(next(batches))
-            for batch in batches:
-                sys.stdout.write(",\n    " + batch)
-            sys.stdout.write("\n  ]")
-        else:
-            _write_chunks(encoder.iterencode(value), "  ")
-    sys.stdout.write("\n}\n")
+    # written in batches: one string of a census of 2^20 rows takes GBs,
+    # and a batch of 2^12 chunks keeps a large closure's peak low
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 12)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _verdict_payload(verdict: Verdict) -> dict:

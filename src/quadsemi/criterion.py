@@ -86,16 +86,14 @@ class ReachGraph(NamedTuple):
         """(source, generator index, image) per map evaluation of the
         walk, in walk order, evaluated again with the walk's kernel.
         """
-        field = self.field
-        prime = field.p if field.e == 1 else 0
-        maps = [(i, g.a, g.b) for i, g in enumerate(self.generators.gens)]
-        sub, mul = field.sub, field.mul
+        prime, maps, sub, mul = _map_kernel(self.generators)
         left = self.expanded
         for u in self.sources():
             for i, a, b in maps:
                 if not left:
                     return
                 left -= 1
+                # the arithmetic of reachable_subgraph: keep the two in step
                 if prime:
                     yield u, i, ((u - a) * (u - a) - b) % prime
                 else:
@@ -111,6 +109,18 @@ class ReachGraph(NamedTuple):
     def targets(self) -> list[int]:
         """The image of each map evaluation, in walk order."""
         return [v for _u, _i, v in self.iter_edges()]
+
+
+def _map_kernel(generators: GeneratorSet):
+    """(prime, maps, sub, mul) for evaluating the generator maps: over a
+    prime field (prime > 0) each map is inlined as integer arithmetic,
+    otherwise it runs on the field's sub and mul.  maps holds (generator
+    index, a, b) in input order.
+    """
+    field = generators.field
+    prime = field.p if field.e == 1 else 0
+    maps = [(i, g.a, g.b) for i, g in enumerate(generators.gens)]
+    return prime, maps, field.sub, field.mul
 
 
 def reachable_subgraph(
@@ -131,15 +141,13 @@ def reachable_subgraph(
     parent: dict[int, tuple[int, int]] = {}
     first_square: tuple[int, int, int] | None = None
     expanded = 0
-    # the map kernel: over a prime field each map is inlined as integer
-    # arithmetic, otherwise it runs on the field's arithmetic
-    prime = field.p if field.e == 1 else 0
-    maps = [(i, g.a, g.b) for i, g in enumerate(gens)]
-    sub, mul, is_square = field.sub, field.mul, field.is_square
+    prime, maps, sub, mul = _map_kernel(generators)
+    is_square = field.is_square
 
     if not (_stop_at_square and any(is_square(g.b) for g in gens)):
         for pos, u in enumerate(sources):  # grows while it is walked
             for i, a, b in maps:
+                # ReachGraph.iter_edges repeats this: keep the two in step
                 if prime:
                     v = ((u - a) * (u - a) - b) % prime
                 else:

@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsemi.cli import _INT_BATCH, _print_json, main
+from quadsemi.cli import _print_json, main
 
 PAIR13 = {
     "field": {"p": 13},
@@ -483,7 +483,7 @@ def test_output_digests_on_larger_closures(
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-# -- the JSON writer against json.dumps --
+# -- the batched JSON output against json.dumps --
 
 # small, above 2^64, and anywhere in between with either sign
 INTS = st.one_of(
@@ -498,12 +498,13 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=12,
 )
-# int lists longer than one batch of the writer, as arithmetic progressions
+# int lists longer than one write batch (2^12 encoder chunks), as
+# arithmetic progressions
 LONG_INT_LISTS = st.builds(
     lambda start, step, n: [start + k * step for k in range(n)],
     INTS,
     st.integers(-(2**66), 2**66),
-    st.sampled_from([_INT_BATCH, _INT_BATCH + 1, 2 * _INT_BATCH, 2 * _INT_BATCH + 7]),
+    st.sampled_from([4096, 4097, 8192, 8199]),
 )
 TOP_VALUES = st.one_of(
     JSON_VALUES,
