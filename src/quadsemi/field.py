@@ -9,9 +9,12 @@ Field instance can be shared freely between threads or worker processes.
 
 Up to q = 2^20 an extension field keeps O(q) tables of a primitive
 element g: antilogarithms, logarithms and Zech logarithms
-log(1 + g^d), so every operation is one or two lookups.  Larger
-extension fields work on digit vectors, which also serve as the
-reference arithmetic in the tests.
+log(1 + g^d), so every operation is one or two lookups.  The powers of
+g come from the packed matrix kernel of ``polys``: the matrix of
+multiplication by g, applied once per power.  Larger extension fields
+work on digit vectors, which also serve as the reference arithmetic in
+the tests; there a power is ``polys.poly_pow_mod`` over F_p on the
+digit vector.
 
 Fields of even characteristic are rejected: the quadratic-residue
 machinery this package is built around needs 2 to be invertible.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .polys import _prime_factors
+from .polys import _matrix_step, _prime_factors, poly_pow_mod, poly_rem, rabin_irreducible
 
 # Up to this order a field keeps a squareness table and, for e > 1,
 # logarithm, antilogarithm and Zech-logarithm tables (O(q) entries
@@ -98,16 +101,20 @@ class Field:
     Construct through :func:`make_field`, which validates the inputs and
     selects the defining polynomial.  ``modulus`` is stored little-endian
     with length e + 1 and leading coefficient 1; for prime fields it is
-    the trivial (0, 1), i.e. the polynomial x.
+    the trivial (0, 1), i.e. the polynomial x.  An extension field keeps
+    in ``_base`` the prime field F_p that make_field built to choose or
+    check the modulus, the coefficient field of its digit vectors; a
+    prime field keeps None there.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_square_t")
+    __slots__ = ("p", "e", "q", "modulus", "_base", "_exp", "_log", "_zech", "_square_t")
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...], base: Field | None = None):
         self.p = p
         self.e = e
         self.q = q = p**e
         self.modulus = modulus
+        self._base = base
         self._exp = self._log = self._zech = self._square_t = None
         if q > _TABLE_LIMIT:
             return
@@ -130,14 +137,18 @@ class Field:
         p, e, n = self.p, self.e, self.q - 1
         tests = [n // r for r in _prime_factors(n)]
         g = next(g for g in range(p, n + 1) if all(self.pow(g, t) != 1 for t in tests))
+        # row j of the matrix of multiplication by g is x^j g mod modulus
         gd = _digits_of(g, p, e)
+        times_g = _matrix_step(
+            self._base, [poly_rem(self._base, [0] * j + gd, self.modulus) for j in range(e)]
+        )
         # the three tables share one int object per value, which cuts
         # their memory by about a quarter near the table limit
         pool = list(range(n + 1))
         powers = [1]
-        cur = _digits_of(1, p, e)
+        cur = [1]
         for _ in range(n - 1):
-            cur = _digit_mulmod(cur, gd, self.modulus, p, e)
+            cur = times_g(cur)
             powers.append(pool[_value_of(cur, p)])
         log = [0] * (n + 1)
         for k, v in enumerate(powers):
@@ -212,14 +223,8 @@ class Field:
             if not x:
                 return 0 if n else 1
             return self._exp[self._log[x] * n % (self.q - 1)]
-        result = 1
-        base = x
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        p = self.p
+        return _value_of(poly_pow_mod(self._base, _digits_of(x, p, self.e), n, self.modulus), p)
 
     # -- residues and enumeration ---------------------------------------
 
@@ -262,8 +267,6 @@ def _find_modulus(prime_field: Field, e: int) -> tuple[int, ...]:
     # smallest monic irreducible of degree e, candidates ordered by the
     # coefficient tuple (constant term first); those with constant term
     # 0 come first in that order and are skipped, since x divides them
-    from .polys import rabin_irreducible
-
     p = prime_field.p
     for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         cand = list(tail) + [1]
@@ -307,8 +310,6 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
             raise ValueError(f"modulus must be monic of degree {e} (length {e + 1}, leading 1)")
         if any(not 0 <= c < p for c in mod):
             raise ValueError(f"modulus coefficients must lie in [0, {p})")
-        from .polys import rabin_irreducible
-
         if not rabin_irreducible(prime_field, list(mod)):
             raise ValueError("supplied modulus is reducible over F_p")
-    return Field(p, e, mod)
+    return Field(p, e, mod, prime_field)

@@ -24,7 +24,6 @@ up to q = 2^20.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import lshift, mul
 from typing import TYPE_CHECKING
 
@@ -254,12 +253,6 @@ def rabin_irreducible(field: Field, f) -> bool:
     power aborts before either matrix is built.
     """
     _require_monic(f, "rabin_irreducible")
-    return _rabin_cached(field, tuple(f))
-
-
-@lru_cache(maxsize=1 << 17)
-def _rabin_cached(field: Field, coeffs: tuple[int, ...]) -> bool:
-    f = list(coeffs)
     n = len(f) - 1
     gcd_points = {n // r for r in _prime_factors(n)}
     x = [0, 1]

@@ -38,6 +38,11 @@ EXTENSIONS = [(3, 2), (5, 2), (3, 3), (3, 4), (23, 2), (3, 7), (5, 5)]
 # F_9 with x^2 + x + 2, whose root is primitive, and F_25 with x^2 + 2,
 # whose root has order 8: not primitive.
 SUPPLIED = [(3, 2, [2, 1, 1]), (5, 2, [2, 0, 1])]
+# Fields above the table limit (q > 2^20), which work on digit vectors.
+# Only witness and words run over them: check and dot would walk about
+# a million nodes.
+DIGIT_FIELDS = [(1031, 2), (3, 13)]
+DIGIT_COMMANDS = [["witness"], ["words", "--depth", "2"]]
 CENSUS = [
     ["census", "--p", "7"],
     ["census", "--p", "7", "--format", "json", "--filter", "no-linear-term"],
@@ -63,6 +68,18 @@ VERIFY = [
 DOCUMENT_COMMANDS = [["check"], ["witness"], ["words", "--depth", WORDS_DEPTH], ["dot"]]
 
 
+def _nonsquare_set(rng, field):
+    """One to three generators (x - a)^2 - b, each with b a non-square."""
+    q = field.q
+    n = rng.randint(1, 3)
+    nonsquare = []
+    while len(nonsquare) < n:
+        a, b = rng.randrange(q), rng.randrange(q)
+        if not field.is_square(b):
+            nonsquare.append((a, b))
+    return nonsquare
+
+
 def _generator_sets(rng, field):
     """A uniform set, a non-square-b set and, when q = 1 (mod 4), the
     a/a+1 family pair (x - a)^2 + a, (x - a - 1)^2 + a.
@@ -71,13 +88,7 @@ def _generator_sets(rng, field):
     sets = []
     n = rng.randint(1, 3)
     sets.append([(rng.randrange(q), rng.randrange(q)) for _ in range(n)])
-    n = rng.randint(1, 3)
-    nonsquare = []
-    while len(nonsquare) < n:
-        a, b = rng.randrange(q), rng.randrange(q)
-        if not field.is_square(b):
-            nonsquare.append((a, b))
-    sets.append(nonsquare)
+    sets.append(_nonsquare_set(rng, field))
     if q % 4 == 1:
         while True:
             a = rng.randrange(q)
@@ -126,12 +137,27 @@ def documents():
     return docs
 
 
+def digit_documents():
+    """Two non-square-b documents over each of DIGIT_FIELDS, drawn from
+    their own stream so that the documents above stay as they were.
+    """
+    rng = random.Random(SEED)
+    docs = []
+    for p, e in DIGIT_FIELDS:
+        field = make_field(p, e)
+        for _ in range(2):
+            gens = _nonsquare_set(rng, field)
+            docs.append({"field": {"p": p, "e": e}, "generators": _encode(rng, field, gens)})
+    return docs
+
+
 def cases():
     """(argv, document or None) for every invocation of the corpus."""
     out = []
-    for doc in documents():
-        for command in DOCUMENT_COMMANDS:
-            out.append((command[:1] + ["-"] + command[1:], doc))
+    for docs, commands in ((documents(), DOCUMENT_COMMANDS), (digit_documents(), DIGIT_COMMANDS)):
+        for doc in docs:
+            for command in commands:
+                out.append((command[:1] + ["-"] + command[1:], doc))
     out += [(argv, None) for argv in CENSUS + VERIFY]
     return out
 

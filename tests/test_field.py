@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-import quadsemi.polys
+import quadsemi.field
 from quadsemi.field import (
     _TABLE_LIMIT,
     Field,
@@ -113,16 +113,16 @@ def test_default_modulus_is_smallest_irreducible(p, e, monkeypatch):
     # the candidates x divides are never tested, and the choice (so the
     # element encoding) is the brute-force one
     tested = []
-    rabin = quadsemi.polys.rabin_irreducible
+    rabin = quadsemi.field.rabin_irreducible
 
     def spy(field, f):
         tested.append(f[0])
         return rabin(field, f)
 
-    monkeypatch.setattr(quadsemi.polys, "rabin_irreducible", spy)
+    monkeypatch.setattr(quadsemi.field, "rabin_irreducible", spy)
     expected = smallest_irreducible_by_trial_division(p, e)
     assert _find_modulus(make_field(p), e) == expected
-    assert 0 not in tested
+    assert tested and 0 not in tested
     monkeypatch.undo()
     assert make_field(p, e).modulus == expected
 
@@ -138,6 +138,10 @@ def test_prime_field_stores_trivial_modulus():
     assert f.modulus == (0, 1)
     assert f == make_field(7)
     assert hash(f) == hash(make_field(7))
+    # digit vectors of an extension field live over its prime field, and
+    # a prime field has none
+    assert f._base is None
+    assert make_field(7, 2)._base == f
     gens = [MonicQuadratic(1, 3)]
     assert GeneratorSet(f, gens) == GeneratorSet(make_field(7), gens)
     assert hash(GeneratorSet(f, gens)) == hash(GeneratorSet(make_field(7), gens))
@@ -304,18 +308,27 @@ def assert_kernel_matches_reference(f, pairs, singles):
             assert f.pow(x, -3) == ref_pow(f, ref_pow(f, x, f.q - 2), 3)
 
 
-# Every extension field with q <= 125, plus F_25 under x^2 + 2, whose
-# root has order 8 and so is not primitive (neither is the root of the
-# default modulus x^2 + 1 of F_9).
+# Every extension field with q <= 125, plus three supplied moduli whose
+# root x is not primitive (neither is the root of the default modulus
+# x^2 + 1 of F_9): F_25 under x^2 + 2, where x has order 8, F_27 under
+# x^3 + x^2 + 2 (order 13) and F_81 under x^4 + 2x^3 + x + 1 (order 20).
+# There the primitive element g is not x, so the rows of the matrix of
+# multiplication by g that builds the tables are not plain shifts.
+SUPPLIED_ROOT_ORDER = {(5, 2): 8, (3, 3): 13, (3, 4): 20}
+
+
 @pytest.mark.parametrize(
     "p,e,modulus",
     [(3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (3, 4, None),
-     (11, 2, None), (5, 3, None), (5, 2, [2, 0, 1])],
+     (11, 2, None), (5, 3, None), (5, 2, [2, 0, 1]), (3, 3, [2, 0, 1, 1]),
+     (3, 4, [1, 1, 0, 2, 1])],
 )
 def test_kernel_matches_digit_reference_exhaustive(p, e, modulus):
     f = make_field(p, e, modulus)
     if modulus is not None:
-        assert f.pow(f.from_digits((0, 1)), 8) == 1  # x is not primitive
+        # the root x is encoded as p
+        order = min(k for k in range(1, f.q) if ref_pow(f, p, k) == 1)
+        assert order == SUPPLIED_ROOT_ORDER[p, e]
     els = list(f.elements())
     assert_kernel_matches_reference(f, [(x, y) for x in els for y in els], els)
 

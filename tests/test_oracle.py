@@ -6,8 +6,10 @@ trial-division factorizer that shares no code with the package's
 polynomial layer.
 """
 
+import gc
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -399,6 +401,18 @@ def test_crosscheck_depth_1_equals_generator_irreducibility():
                 is_irreducible_quadratic(field, q) for q in (f, g)
             )
             assert rep.irreducible_per_length == {1: expected}
+
+
+def test_crosscheck_keeps_no_reference_to_its_field():
+    # nothing outlives the call, so a dropped field and its tables can be
+    # freed; the set is used by no other test, so a memo of the dense test
+    # would miss here and keep the field as part of its key
+    field = make_field(3, 3)
+    s = pair(field, (7, 5), (20, 11))
+    before = sys.getrefcount(field)
+    crosscheck(s, 3)
+    gc.collect()
+    assert sys.getrefcount(field) == before
 
 
 def test_crosscheck_rejects_bad_depth():
