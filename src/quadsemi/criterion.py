@@ -18,6 +18,7 @@ is reducible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .quadratic import GeneratorSet, check_word, evaluate
@@ -41,30 +42,37 @@ class ReachGraph(NamedTuple):
     distinguished set by paths of positive length, as far as explored.
 
     nodes lists elements in BFS discovery order; a distinguished value
-    appears among the nodes only if some walk re-enters it.  parent maps
-    each node to the (predecessor, generator index) that first discovered
-    it: its chain back to a seed is a shortest walk.  first_square is the
-    edge that discovered the earliest square node, or None when every
-    explored node is a non-square.  expanded counts the walk's map
-    evaluations: one per expanded source (in sources() order) and
-    generator, fewer on the last source when the walk stopped at a
-    square.  The images themselves are not stored; iter_edges, edges and
-    targets evaluate the maps again.
+    appears among the nodes only if some walk re-enters it.  pred maps
+    each node to the source that first discovered it: its chain back to
+    a seed is a shortest walk.  parent is derived from pred: it maps
+    each node to (predecessor, generator index), the index found again
+    by evaluating the maps.  first_square is the edge that discovered
+    the earliest square node, or None when every explored node is a
+    non-square.  expanded counts the walk's map evaluations: one per
+    expanded source (in sources() order) and generator, fewer on the
+    last source when the walk stopped at a square.  The images
+    themselves are not stored; iter_edges, edges and targets evaluate
+    the maps again.
     """
 
     generators: GeneratorSet
     seeds: tuple[int, ...]
     nodes: tuple[int, ...]
-    parent: dict[int, tuple[int, int]]
+    pred: dict[int, int]
     first_square: tuple[int, int, int] | None
     expanded: int
 
     def __repr__(self) -> str:
-        # parent is left out: a large closure has millions of entries
+        # pred is left out: a large closure has millions of entries
         return (
             f"ReachGraph(generators={self.generators!r}, seeds={self.seeds!r}, "
             f"nodes={self.nodes!r}, first_square={self.first_square!r})"
         )
+
+    @property
+    def parent(self) -> Mapping[int, tuple[int, int]]:
+        """Read-only view: node -> (predecessor, generator index)."""
+        return _ParentView(self.generators, self.pred)
 
     @property
     def field(self) -> Field:
@@ -111,6 +119,34 @@ class ReachGraph(NamedTuple):
         return [v for _u, _i, v in self.iter_edges()]
 
 
+class _ParentView(Mapping):
+    """node -> (u, i) with u = pred[node] and i the lowest generator index
+    with f_i(u) = node.  The walk tries the generators of each source in
+    input order, so that is the generator that discovered the node.
+    """
+
+    __slots__ = ("_generators", "_pred")
+
+    def __init__(self, generators: GeneratorSet, pred: dict[int, int]):
+        self._generators = generators
+        self._pred = pred
+
+    def __getitem__(self, v: int) -> tuple[int, int]:
+        u = self._pred[v]
+        field = self._generators.field
+        gens = self._generators.gens
+        return u, next(i for i, g in enumerate(gens) if evaluate(field, g, u) == v)
+
+    def __contains__(self, v: object) -> bool:
+        return v in self._pred
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._pred)
+
+    def __len__(self) -> int:
+        return len(self._pred)
+
+
 def _map_kernel(generators: GeneratorSet):
     """(prime, maps, sub, mul) for evaluating the generator maps: over a
     prime field (prime > 0) each map is inlined as integer arithmetic,
@@ -138,7 +174,7 @@ def reachable_subgraph(
     seeds = distinguished_set(generators)
     seed_set = set(seeds)
     sources: list[int] = list(seeds)
-    parent: dict[int, tuple[int, int]] = {}
+    pred: dict[int, int] = {}
     first_square: tuple[int, int, int] | None = None
     expanded = 0
     prime, maps, sub, mul = _map_kernel(generators)
@@ -153,9 +189,9 @@ def reachable_subgraph(
                 else:
                     t = sub(u, a)
                     v = sub(mul(t, t), b)
-                if v in parent:
+                if v in pred:
                     continue
-                parent[v] = (u, i)
+                pred[v] = u
                 if v not in seed_set:
                     sources.append(v)
                 if first_square is None and is_square(v):
@@ -170,8 +206,8 @@ def reachable_subgraph(
     return ReachGraph(
         generators=generators,
         seeds=seeds,
-        nodes=tuple(parent),  # insertion order is discovery order
-        parent=parent,
+        nodes=tuple(pred),  # insertion order is discovery order
+        pred=pred,
         first_square=first_square,
         expanded=expanded,
     )
@@ -215,13 +251,16 @@ def witness_word(generators: GeneratorSet, graph: ReachGraph) -> tuple[int, ...]
 
     A generator whose b is square is already reducible on its own and is
     returned as a one-letter word (lowest index first).  Otherwise the
-    walk seed -> ... -> square, read back from the square, gives the
-    outer letters; the innermost letter is the lowest-index generator
-    whose -b equals the seed.  No shorter outer-prefix of that word is
-    reducible: its chain values before the last are the walk's earlier
-    nodes, which lie on lower BFS levels than the first square node and
-    so are non-squares.  The tests check this on random and exhaustive
-    sets.  Raises ValueError when nothing is reducible.
+    walk seed -> ... -> square, read back from the square through
+    graph.pred, gives the outer letters.  Each letter is the lowest
+    index of a generator taking a node of the walk to the next, found by
+    evaluating the maps again along that walk only (graph.parent).  The
+    innermost letter is the lowest-index generator whose -b equals the
+    seed.  No shorter outer-prefix of that word is reducible: its chain
+    values before the last are the walk's earlier nodes, which lie on
+    lower BFS levels than the first square node and so are non-squares.
+    The tests check this on random and exhaustive sets.  Raises
+    ValueError when nothing is reducible.
     """
     field = generators.field
     for i, g in enumerate(generators.gens):
@@ -231,9 +270,10 @@ def witness_word(generators: GeneratorSet, graph: ReachGraph) -> tuple[int, ...]
         raise ValueError("every composition is irreducible; nothing to witness")
     seed_set = set(graph.seeds)
     u, i, _v = graph.first_square
+    parent = graph.parent
     labels = [i]
     while u not in seed_set:
-        u, lab = graph.parent[u]
+        u, lab = parent[u]
         labels.append(lab)
     inner = next(
         j for j, g in enumerate(generators.gens) if field.neg(g.b) == u

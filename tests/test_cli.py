@@ -11,9 +11,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadsemi.cli import _print_json, main
+from quadsemi.field import make_field
+from quadsemi.quadratic import MonicQuadratic, expand
 
 PAIR13 = {
     "field": {"p": 13},
@@ -528,6 +530,64 @@ def test_print_json_matches_json_dumps(payload):
     with contextlib.redirect_stdout(out):
         _print_json(payload)
     assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# -- both generator encodings give the same output --
+
+PRIMES_BELOW_200 = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
+ENCODING_FIELDS = [(p, 1) for p in PRIMES_BELOW_200] + [(3, 2), (5, 2)]
+
+
+@st.composite
+def two_encodings(draw):
+    """One generator set written as {a, b} and as {c1, c0}; over a prime
+    field each coefficient may also be shifted by p or -p.
+    """
+    p, e = draw(st.sampled_from(ENCODING_FIELDS))
+    field = make_field(p, e)
+    element = st.integers(0, field.q - 1)
+    pairs = draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+    shift = st.sampled_from([-p, 0, p]) if e == 1 else st.just(0)
+    coeffs = []
+    for a, b in pairs:
+        c1, c0 = expand(field, MonicQuadratic(a, b))
+        coeffs.append({"c1": c1 + draw(shift), "c0": c0 + draw(shift)})
+    shifted = [{"a": a, "b": b} for a, b in pairs]
+    return (
+        {"field": {"p": p, "e": e}, "generators": shifted},
+        {"field": {"p": p, "e": e}, "generators": coeffs},
+    )
+
+
+def run_on_stdin(command, doc):
+    """(exit code, stdout, stderr) of one in-process call reading doc."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(two_encodings())
+# PAIR13, an irreducible set: (x - 5)^2 - 8 = x^2 + 3x + 4 and
+# (x - 6)^2 - 8 = x^2 + x + 2, with coefficients shifted by 13
+@example(
+    (
+        PAIR13,
+        {
+            "field": {"p": 13},
+            "generators": [{"c1": 16, "c0": -9}, {"c1": -12, "c0": 2}],
+        },
+    )
+)
+def test_both_encodings_print_the_same_output(docs):
+    shifted, coeffs = docs
+    for command in ("check", "witness", "dot"):
+        assert run_on_stdin(command, shifted) == run_on_stdin(command, coeffs)
 
 
 # -- process-level entry --

@@ -284,7 +284,8 @@ def test_expanded_counts_the_derived_targets():
 def test_closure_memory_per_node():
     # the a/a+1 family pair over F_100003 (45,663 nodes).  Storing one
     # image per edge took 217 B per node at the walk's peak; without that
-    # list it takes 175 B.
+    # list it took 178 B, and storing each node's predecessor alone, not
+    # a (predecessor, generator index) tuple, takes 124 B.
     s = gset(make_field(100003), (5, 8), (6, 8))
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -298,7 +299,7 @@ def test_closure_memory_per_node():
         if not tracing:
             tracemalloc.stop()
     assert len(g.nodes) == 45663
-    assert peak / len(g.nodes) < 196
+    assert peak / len(g.nodes) < 140
 
 
 def test_records_are_tuples():
@@ -474,6 +475,23 @@ def test_walk_matches_reference_exhaustive(p, e):
     for size in (1, 2):
         for gens in itertools.combinations(quads, size):
             assert_walk_matches_reference(GeneratorSet(field, gens))
+
+
+def test_parent_tie_takes_the_lowest_generator():
+    # x^2 and (x - 4)^2 over F_7 both take the node 2 to 4: the walk
+    # stores only the predecessor 2, and parent names generator 0, the
+    # first the walk tried
+    s = gset(F7, (0, 0), (4, 0))
+    g = reachable_subgraph(s)
+    assert evaluate(F7, s.gens[0], 2) == evaluate(F7, s.gens[1], 2) == 4
+    assert g.pred == {0: 0, 2: 0, 4: 2}
+    assert g.parent[4] == (2, 0)
+    assert tuple(g.parent) == g.nodes
+    assert len(g.parent) == len(g.nodes)
+    assert 1 not in g.parent
+    with pytest.raises(KeyError):
+        g.parent[1]
+    assert (g.nodes, g.parent, g.targets, g.first_square) == reference_closure(s)
 
 
 @pytest.mark.parametrize("p,e", [(10007, 1), (3, 7)])
