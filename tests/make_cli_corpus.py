@@ -38,11 +38,18 @@ EXTENSIONS = [(3, 2), (5, 2), (3, 3), (3, 4), (23, 2), (3, 7), (5, 5)]
 # F_9 with x^2 + x + 2, whose root is primitive, and F_25 with x^2 + 2,
 # whose root has order 8: not primitive.
 SUPPLIED = [(3, 2, [2, 1, 1]), (5, 2, [2, 0, 1])]
-# Fields above the table limit (q > 2^20), which work on digit vectors.
-# Only witness and words run over them: check and dot would walk about
-# a million nodes.
+# Extension fields above the table limit (q > 2^20), which work on digit
+# vectors.  Only witness and words run over them: check and dot on their
+# sets would walk about a million nodes.
 DIGIT_FIELDS = [(1031, 2), (3, 13)]
 DIGIT_COMMANDS = [["witness"], ["words", "--depth", "2"]]
+# Single generators over the primes on either side of the table limit:
+# (p, documents, commands).  check and dot run over them because the
+# closure of one map is one orbit, a few thousand nodes at most.
+LIMIT_PRIMES = [
+    (1048583, 2, [["check"], ["dot"]]),  # 2^20 + 7, above the limit
+    (1048573, 1, [["check"]]),  # 2^20 - 3, below it
+]
 CENSUS = [
     ["census", "--p", "7"],
     ["census", "--p", "7", "--format", "json", "--filter", "no-linear-term"],
@@ -151,13 +158,33 @@ def digit_documents():
     return docs
 
 
+def limit_documents():
+    """(document, commands) pairs: one non-square generator per document
+    over each of LIMIT_PRIMES, drawn from their own stream.
+    """
+    rng = random.Random(SEED)
+    out = []
+    for p, count, commands in LIMIT_PRIMES:
+        field = make_field(p)
+        for _ in range(count):
+            while True:
+                a, b = rng.randrange(p), rng.randrange(p)
+                if not field.is_square(b):
+                    break
+            doc = {"field": {"p": p}, "generators": _encode(rng, field, [(a, b)])}
+            out.append((doc, commands))
+    return out
+
+
 def cases():
     """(argv, document or None) for every invocation of the corpus."""
     out = []
-    for docs, commands in ((documents(), DOCUMENT_COMMANDS), (digit_documents(), DIGIT_COMMANDS)):
-        for doc in docs:
-            for command in commands:
-                out.append((command[:1] + ["-"] + command[1:], doc))
+    pairs = [(doc, DOCUMENT_COMMANDS) for doc in documents()]
+    pairs += [(doc, DIGIT_COMMANDS) for doc in digit_documents()]
+    pairs += limit_documents()
+    for doc, commands in pairs:
+        for command in commands:
+            out.append((command[:1] + ["-"] + command[1:], doc))
     out += [(argv, None) for argv in CENSUS + VERIFY]
     return out
 
