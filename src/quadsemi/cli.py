@@ -16,7 +16,7 @@ when the path is "-"):
 Each generator is given either in shifted form {a, b} meaning
 (x - a)^2 - b, or by coefficients {c1, c0} meaning x^2 + c1 x + c0.
 Exit codes: 0 = all compositions irreducible (or clean report),
-1 = reducible (or mismatch found), 2 = bad input.
+1 = reducible (or mismatch found), 2 = bad input or out of memory.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .criterion import (
     Verdict,
+    _dot_lines,
     check_semigroup_irreducible,
-    export_dot,
     reachable_subgraph,
     verdict_from_graph,
 )
@@ -149,12 +150,15 @@ def load_generator_set(doc: dict, max_generators: int) -> GeneratorSet:
     return generators
 
 
-def _print_json(payload) -> None:
+def _write(chunks: Iterator[str]) -> None:
     # written in batches: one string of a census of 2^20 rows takes GBs,
     # and a batch of 2^12 chunks keeps a large closure's peak low
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
     for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 12)), ""):
         sys.stdout.write(batch)
+
+
+def _print_json(payload) -> None:
+    _write(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
     sys.stdout.write("\n")
 
 
@@ -213,7 +217,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dot(args) -> int:
     generators = load_generator_set(_read_document(args.input), args.max_generators)
-    sys.stdout.write(export_dot(reachable_subgraph(generators)))
+    _write(_dot_lines(reachable_subgraph(generators)))
     return 0
 
 
@@ -318,6 +322,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # reported out here, once the failed command's frames are freed; exit 1
+    # would read as a reducible verdict
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

@@ -18,9 +18,11 @@ is reducible.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
+from .field import _TABLE_LIMIT
 from .quadratic import GeneratorSet, check_word, evaluate
 
 if TYPE_CHECKING:
@@ -42,23 +44,23 @@ class ReachGraph(NamedTuple):
     distinguished set by paths of positive length, as far as explored.
 
     nodes lists elements in BFS discovery order; a distinguished value
-    appears among the nodes only if some walk re-enters it.  pred maps
-    each node to the source that first discovered it: its chain back to
-    a seed is a shortest walk.  parent is derived from pred: it maps
-    each node to (predecessor, generator index), the index found again
-    by evaluating the maps.  first_square is the edge that discovered
-    the earliest square node, or None when every explored node is a
-    non-square.  expanded counts the walk's map evaluations: one per
-    expanded source (in sources() order) and generator, fewer on the
-    last source when the walk stopped at a square.  The images
-    themselves are not stored; iter_edges, edges and targets evaluate
-    the maps again.
+    appears among the nodes only if some walk re-enters it.  pred is a
+    read-only mapping, iterated in discovery order, from each node to the
+    source that first discovered it: its chain back to a seed is a
+    shortest walk.  parent is derived from pred: it maps each node to
+    (predecessor, generator index), the index found again by evaluating
+    the maps.  first_square is the edge that discovered the earliest
+    square node, or None when every explored node is a non-square.
+    expanded counts the walk's map evaluations: one per expanded source
+    (in sources() order) and generator, fewer on the last source when
+    the walk stopped at a square.  The images themselves are not stored;
+    iter_edges, edges and targets evaluate the maps again.
     """
 
     generators: GeneratorSet
     seeds: tuple[int, ...]
     nodes: tuple[int, ...]
-    pred: dict[int, int]
+    pred: Mapping[int, int]
     first_square: tuple[int, int, int] | None
     expanded: int
 
@@ -119,6 +121,33 @@ class ReachGraph(NamedTuple):
         return [v for _u, _i, v in self.iter_edges()]
 
 
+class _PredView(Mapping):
+    """node -> predecessor, read from the walk's store: a dict, or an
+    array indexed by element that holds -1 where no node is.
+    """
+
+    __slots__ = ("_nodes", "_store")
+
+    def __init__(self, nodes: tuple[int, ...], store: array | dict[int, int]):
+        self._nodes = nodes
+        self._store = store
+
+    def __getitem__(self, v: int) -> int:
+        store = self._store
+        if isinstance(store, dict):
+            return store[v]
+        # an array would read a negative index from its end
+        if isinstance(v, int) and 0 <= v < len(store) and store[v] >= 0:
+            return store[v]
+        raise KeyError(v)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+
 class _ParentView(Mapping):
     """node -> (u, i) with u = pred[node] and i the lowest generator index
     with f_i(u) = node.  The walk tries the generators of each source in
@@ -127,7 +156,7 @@ class _ParentView(Mapping):
 
     __slots__ = ("_generators", "_pred")
 
-    def __init__(self, generators: GeneratorSet, pred: dict[int, int]):
+    def __init__(self, generators: GeneratorSet, pred: Mapping[int, int]):
         self._generators = generators
         self._pred = pred
 
@@ -168,13 +197,19 @@ def reachable_subgraph(
     is expanded exactly once even if it is both a seed and a node.  The
     decision alone passes _stop_at_square: the walk then does not start
     when some b is a square and otherwise ends at the first square node.
+
+    When q <= _TABLE_LIMIT the predecessors go into an array of q C ints,
+    -1 where nothing is found yet, and a list of the nodes keeps the
+    discovery order; larger fields keep a dict, whose keys keep it.
     """
     field = generators.field
     gens = generators.gens
     seeds = distinguished_set(generators)
     seed_set = set(seeds)
     sources: list[int] = list(seeds)
-    pred: dict[int, int] = {}
+    table = field.q <= _TABLE_LIMIT
+    pred = array("i", [-1]) * field.q if table else {}
+    found: list[int] = []  # the nodes in discovery order, table fields only
     first_square: tuple[int, int, int] | None = None
     expanded = 0
     prime, maps, sub, mul = _map_kernel(generators)
@@ -189,7 +224,11 @@ def reachable_subgraph(
                 else:
                     t = sub(u, a)
                     v = sub(mul(t, t), b)
-                if v in pred:
+                if table:
+                    if pred[v] >= 0:
+                        continue
+                    found.append(v)
+                elif v in pred:
                     continue
                 pred[v] = u
                 if v not in seed_set:
@@ -203,11 +242,14 @@ def reachable_subgraph(
                 break
         else:
             expanded = len(sources) * len(maps)
+    del sources  # freed first: it would be a third list of the nodes at the peak
+    # a dict's insertion order is discovery order
+    nodes = tuple(found) if table else tuple(pred)
     return ReachGraph(
         generators=generators,
         seeds=seeds,
-        nodes=tuple(pred),  # insertion order is discovery order
-        pred=pred,
+        nodes=nodes,
+        pred=_PredView(nodes, pred),
         first_square=first_square,
         expanded=expanded,
     )
@@ -343,13 +385,17 @@ def export_dot(graph: ReachGraph) -> str:
     """Deterministic DOT rendering: distinguished values double-circled,
     square nodes shaded, edges labeled with generator names.
     """
+    return "".join(_dot_lines(graph))
+
+
+def _dot_lines(graph: ReachGraph) -> Iterator[str]:
+    """The lines of export_dot, each with its newline, one at a time."""
     gens = graph.generators
     field = graph.field
     node_set = graph.node_set()
     seed_set = set(graph.seeds)
-    sources = graph.sources()
-    lines = ["digraph reach {", "  rankdir=LR;", '  node [shape=circle];']
-    for v in sources:
+    yield "digraph reach {\n  rankdir=LR;\n  node [shape=circle];\n"
+    for v in graph.sources():
         attrs = []
         if v in seed_set:
             attrs.append("shape=doublecircle")
@@ -357,9 +403,8 @@ def export_dot(graph: ReachGraph) -> str:
             attrs.append("style=filled")
             attrs.append("fillcolor=lightgrey")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{v}"{suffix};')
+        yield f'  "{v}"{suffix};\n'
     names = [gens.name(i) for i in range(len(gens))]
     for u, i, v in graph.iter_edges():
-        lines.append(f'  "{u}" -> "{v}" [label="{names[i]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{u}" -> "{v}" [label="{names[i]}"];\n'
+    yield "}\n"

@@ -9,11 +9,13 @@ import json
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadsemi.cli import _print_json, main
+from quadsemi.cli import _print_json, load_generator_set, main
+from quadsemi.criterion import export_dot, reachable_subgraph
 from quadsemi.field import make_field
 from quadsemi.quadratic import MonicQuadratic, expand
 
@@ -102,6 +104,16 @@ def test_check_rejects_deeply_nested_json(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_check_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # exit 1 would read as a reducible verdict; the stub allocates nothing
+    def exhausted(generators):
+        raise MemoryError
+
+    monkeypatch.setattr("quadsemi.cli.reachable_subgraph", exhausted)
+    code, out, err = run_cli(capsys, ["check", write_input(tmp_path, PAIR13)])
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_check_rejects_missing_file(capsys):
@@ -408,6 +420,18 @@ def test_dot_deterministic(tmp_path, capsys):
     _, first, _ = run_cli(capsys, ["dot", path])
     _, second, _ = run_cli(capsys, ["dot", path])
     assert first == second
+
+
+def test_dot_is_written_in_batches(tmp_path, monkeypatch):
+    # 4,544 nodes and 9,088 edges: more lines than one 2^12-line batch,
+    # written piece by piece and never held as one string
+    doc = {"field": {"p": 10007}, "generators": [{"a": 5, "b": 8}, {"a": 6, "b": 8}]}
+    writes = []
+    monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=writes.append))
+    assert main(["dot", write_input(tmp_path, doc)]) == 0
+    dot = export_dot(reachable_subgraph(load_generator_set(doc, 8)))
+    assert "".join(writes) == dot
+    assert len(writes) > 1 and max(map(len, writes)) < len(dot) // 2
 
 
 # -- byte-identical output on larger closures --

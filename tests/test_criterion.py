@@ -7,10 +7,12 @@ import functools
 import itertools
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadsemi import criterion
 from quadsemi.criterion import (
     REASON_GENERATOR,
     REASON_REACHABLE,
@@ -281,12 +283,8 @@ def test_expanded_counts_the_derived_targets():
     assert g.expanded == 0 and g.targets == [] and g.edges == ()
 
 
-def test_closure_memory_per_node():
-    # the a/a+1 family pair over F_100003 (45,663 nodes).  Storing one
-    # image per edge took 217 B per node at the walk's peak; without that
-    # list it took 178 B, and storing each node's predecessor alone, not
-    # a (predecessor, generator index) tuple, takes 124 B.
-    s = gset(make_field(100003), (5, 8), (6, 8))
+def walk_peak_per_node(s):
+    """The walk's tracemalloc peak in bytes per node, and the node count."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -298,8 +296,26 @@ def test_closure_memory_per_node():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert len(g.nodes) == 45663
-    assert peak / len(g.nodes) < 140
+    return peak / len(g.nodes), len(g.nodes)
+
+
+def test_closure_memory_per_node():
+    # the a/a+1 family pair over F_100003 (45,663 nodes).  Storing one
+    # image per edge took 217 B per node at the walk's peak; without that
+    # list it took 178 B, and storing each node's predecessor alone, not
+    # a (predecessor, generator index) tuple, took 124 B in a dict.  An
+    # array of q predecessors in place of the dict takes 58 B.
+    per_node, nodes = walk_peak_per_node(gset(make_field(100003), (5, 8), (6, 8)))
+    assert nodes == 45663
+    assert per_node < 70
+
+
+def test_closure_memory_per_node_dict_store(monkeypatch):
+    # the same walk on the dict that fields above 2^20 keep: 124 B
+    monkeypatch.setattr(criterion, "_TABLE_LIMIT", 0)
+    per_node, nodes = walk_peak_per_node(gset(make_field(100003), (5, 8), (6, 8)))
+    assert nodes == 45663
+    assert per_node < 140
 
 
 def test_records_are_tuples():
@@ -502,3 +518,58 @@ def test_walk_matches_reference_sampled(p, e):
         n = rng.randint(1, 3)
         pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(n)]
         assert_walk_matches_reference(gset(field, *pairs))
+
+
+# -- the array store (q <= 2^20) against the dict store --
+
+
+def walk_record(s, stop):
+    """The walk's store type and everything its readers see."""
+    g = reachable_subgraph(s, _stop_at_square=stop)
+    try:
+        witness = witness_word(s, g)
+    except ValueError:
+        witness = None
+    seen = (g.nodes, dict(g.pred), dict(g.parent), g.first_square, g.expanded, witness)
+    return type(g.pred._store), seen
+
+
+@st.composite
+def any_sets(draw):
+    """1-3 generators with any a and b, over a prime field below 200 or
+    over F_9, F_25, F_27.
+    """
+    primes = st.sampled_from(PRIMES_BELOW_200).map(lambda p: (p, 1))
+    field = cached_field(*draw(primes | st.sampled_from([(3, 2), (5, 2), (3, 3)])))
+    element = st.integers(0, field.q - 1)
+    pairs = draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+    return GeneratorSet(field, [MonicQuadratic(a, b) for a, b in pairs])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(any_sets())
+def test_array_walk_equals_dict_walk(s):
+    for stop in (False, True):  # the whole closure, then the early exit
+        store, seen = walk_record(s, stop)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criterion, "_TABLE_LIMIT", 0)  # every field takes the dict
+            dict_store, dict_seen = walk_record(s, stop)
+        assert (store, dict_store) == (array, dict)
+        assert seen == dict_seen
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["array", "dict"])
+def test_pred_view_refuses_what_is_not_a_node(monkeypatch, limit):
+    if limit is not None:
+        monkeypatch.setattr(criterion, "_TABLE_LIMIT", limit)
+    # x^2 - 1 over F_7: 6 -> 0 -> 6, so an array store holds a
+    # predecessor at index -1 (element 6) and at index -7 (element 0)
+    g = reachable_subgraph(gset(F7, (0, 1)))
+    assert g.nodes == (0, 6)
+    assert g.pred == {0: 6, 6: 0}
+    assert list(g.pred) == [0, 6] and len(g.pred) == 2
+    for key in (-1, -7, 7, 1, 2.0, "6", None):
+        assert key not in g.pred
+        assert key not in g.parent
+        with pytest.raises(KeyError):
+            g.pred[key]
