@@ -22,7 +22,7 @@ from .criterion import (
 )
 from .field import Field, make_field
 from .oracle import CrosscheckReport, crosscheck
-from .polys import frobenius_power, rabin_irreducible
+from .polys import rabin_irreducible
 from .quadratic import (
     GeneratorSet,
     MonicQuadratic,
@@ -30,7 +30,6 @@ from .quadratic import (
     evaluate,
     expand,
     from_coeffs,
-    is_irreducible_quadratic,
 )
 from .search import (
     CENSUS_FILTERS,
@@ -70,8 +69,6 @@ __all__ = [
     "expand",
     "export_dot",
     "from_coeffs",
-    "frobenius_power",
-    "is_irreducible_quadratic",
     "make_field",
     "max_indegree_from_nonsquares",
     "nonsquare_pair_records",

@@ -54,7 +54,7 @@ class ReachGraph(NamedTuple):
     expanded counts the walk's map evaluations: one per expanded source
     (in sources() order) and generator, fewer on the last source when
     the walk stopped at a square.  The images themselves are not stored;
-    iter_edges, edges and targets evaluate the maps again.
+    iter_edges evaluates the maps again.
     """
 
     generators: GeneratorSet
@@ -109,16 +109,6 @@ class ReachGraph(NamedTuple):
                 else:
                     t = sub(u, a)
                     yield u, i, sub(mul(t, t), b)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """(source, generator index, target) per map evaluation."""
-        return tuple(self.iter_edges())
-
-    @property
-    def targets(self) -> list[int]:
-        """The image of each map evaluation, in walk order."""
-        return [v for _u, _i, v in self.iter_edges()]
 
 
 class _PredView(Mapping):

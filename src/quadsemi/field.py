@@ -12,9 +12,10 @@ element g: antilogarithms, logarithms and Zech logarithms
 log(1 + g^d), so every operation is one or two lookups.  The powers of
 g come from the packed matrix kernel of ``polys``: the matrix of
 multiplication by g, applied once per power.  Larger extension fields
-work on digit vectors, which also serve as the reference arithmetic in
-the tests; there a power is ``polys.poly_pow_mod`` over F_p on the
-digit vector.
+work on digit vectors; there a power is ``polys.poly_pow_mod`` over F_p
+on the digit vector.  The tests check both against the dense polynomial
+layer: a product is ``polys.poly_mul`` of the digit vectors over F_p,
+reduced by ``polys.poly_rem`` modulo the defining polynomial.
 
 Fields of even characteristic are rejected: the quadratic-residue
 machinery this package is built around needs 2 to be invertible.
@@ -159,18 +160,6 @@ class Field:
         # 1 + v only changes the lowest digit of v
         self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
 
-    # -- element codec -------------------------------------------------
-
-    def digits(self, x: int) -> tuple[int, ...]:
-        """Base-p digit vector (length e, little-endian) of an element."""
-        return tuple(_digits_of(x, self.p, self.e))
-
-    def from_digits(self, digits) -> int:
-        ds = list(digits)
-        if len(ds) != self.e or any(not 0 <= d < self.p for d in ds):
-            raise ValueError(f"expected {self.e} digits in [0, {self.p})")
-        return _value_of(ds, self.p)
-
     # -- arithmetic ----------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
@@ -226,7 +215,7 @@ class Field:
         p = self.p
         return _value_of(poly_pow_mod(self._base, _digits_of(x, p, self.e), n, self.modulus), p)
 
-    # -- residues and enumeration ---------------------------------------
+    # -- residues ------------------------------------------------------
 
     def is_square(self, x: int) -> bool:
         """Quadratic-residue test; 0 counts as a square (0 = 0^2)."""
@@ -239,10 +228,6 @@ class Field:
         if x == 0:
             return True
         return self.pow(x, (self.q - 1) // 2) == 1
-
-    def elements(self) -> range:
-        """All q elements in increasing encoded order."""
-        return range(self.q)
 
     # -- identity ------------------------------------------------------
 

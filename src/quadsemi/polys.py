@@ -43,13 +43,6 @@ def degree(f) -> int:
     return len(f) - 1
 
 
-def poly_eval(field: Field, f, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 def poly_add(field: Field, a, b) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
@@ -144,11 +137,6 @@ def poly_pow_mod(field: Field, base, n: int, modulus) -> list[int]:
     return result
 
 
-def _require_monic(f, what: str) -> None:
-    if len(f) < 2 or f[-1] != 1:
-        raise ValueError(f"{what} requires a monic polynomial of degree >= 1")
-
-
 def _matrix_step(field: Field, rows):
     """The linear map u -> sum of u[i] * rows[i] on polynomials of degree
     < n, for n = len(rows) reduced rows of degree < n.
@@ -207,26 +195,6 @@ def _frobenius_map(field: Field, xq, f):
     return _matrix_step(field, rows[:n])  # a linear f has the one row 1
 
 
-def frobenius_power(field: Field, k: int, f) -> list[int]:
-    """Canonical representative of x**(q**k) in the quotient ring by f.
-
-    Computed as k steps of the Frobenius matrix from x mod f, so
-    intermediate degrees never exceed deg f.  Nothing in the package
-    calls it; it stays public because it is how the tests reach
-    _frobenius_map, checking k matrix steps against k square-and-multiply
-    powerings x -> x**q mod f.
-    """
-    _require_monic(f, "frobenius_power")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    cur = poly_rem(field, [0, 1], f)
-    if k:
-        frobenius = _frobenius_map(field, poly_pow_mod(field, cur, field.q, f), f)
-        for _ in range(k):
-            cur = frobenius(cur)
-    return cur
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -252,7 +220,8 @@ def rabin_irreducible(field: Field, f) -> bool:
     by x**q mod f once.  A failed gcd aborts early, and one at the first
     power aborts before either matrix is built.
     """
-    _require_monic(f, "rabin_irreducible")
+    if len(f) < 2 or f[-1] != 1:
+        raise ValueError("rabin_irreducible requires a monic polynomial of degree >= 1")
     n = len(f) - 1
     gcd_points = {n // r for r in _prime_factors(n)}
     x = [0, 1]

@@ -47,11 +47,6 @@ def evaluate(field: Field, f: MonicQuadratic, x: int) -> int:
     return field.sub(field.mul(t, t), f.b)
 
 
-def is_irreducible_quadratic(field: Field, f: MonicQuadratic) -> bool:
-    """(x - a)^2 - b is irreducible exactly when b is a non-square."""
-    return not field.is_square(f.b)
-
-
 class GeneratorSet:
     """A field together with an ordered, duplicate-free list of monic
     quadratics.  Duplicates in the input are dropped silently, keeping

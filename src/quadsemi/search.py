@@ -349,32 +349,25 @@ def verify_prop_p3mod4(p: int) -> bool:
     )
 
 
+# The census columns, in output order, for both formats.
+_CENSUS_COLUMNS = ("q", "a1", "b1", "a2", "b2", "verdict", "witness_len", "reach_size")
+
+
+def _census_values(r: CensusRow) -> tuple:
+    """A row's values in _CENSUS_COLUMNS order."""
+    verdict = "irreducible" if r.irreducible else "reducible"
+    return (r.q, *r.first, *r.second, verdict, r.witness_len, r.reach_size)
+
+
 def census_tsv(rows: list[CensusRow]) -> str:
     """Tab-separated census with a fixed header; verdicts rendered as
     irreducible/reducible.
     """
-    lines = ["q\ta1\tb1\ta2\tb2\tverdict\twitness_len\treach_size"]
-    for r in rows:
-        verdict = "irreducible" if r.irreducible else "reducible"
-        lines.append(
-            f"{r.q}\t{r.first[0]}\t{r.first[1]}\t{r.second[0]}\t{r.second[1]}"
-            f"\t{verdict}\t{r.witness_len}\t{r.reach_size}"
-        )
+    lines = ["\t".join(_CENSUS_COLUMNS)]
+    lines.extend("\t".join(map(str, _census_values(r))) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def census_json(rows: list[CensusRow]) -> list[dict]:
     """Census rows as JSON-ready dicts, same order and fields as the TSV."""
-    return [
-        {
-            "q": r.q,
-            "a1": r.first[0],
-            "b1": r.first[1],
-            "a2": r.second[0],
-            "b2": r.second[1],
-            "verdict": "irreducible" if r.irreducible else "reducible",
-            "witness_len": r.witness_len,
-            "reach_size": r.reach_size,
-        }
-        for r in rows
-    ]
+    return [dict(zip(_CENSUS_COLUMNS, _census_values(r))) for r in rows]

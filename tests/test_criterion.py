@@ -47,6 +47,11 @@ PRIMES_BELOW_200 = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p
 cached_field = functools.lru_cache(maxsize=None)(make_field)
 
 
+def targets(g):
+    """The image of each map evaluation, in walk order."""
+    return [v for _u, _i, v in g.iter_edges()]
+
+
 def chain_lengths(g):
     """Length of each node's parent chain back to a seed."""
     lengths = {}
@@ -69,7 +74,7 @@ def test_reachable_subgraph_shifted_pair():
     g = reachable_subgraph(PAIR7_SHIFTED)
     assert g.seeds == (2,)
     assert g.nodes == (3, 6)
-    assert g.edges == (
+    assert tuple(g.iter_edges()) == (
         (2, 0, 3),
         (2, 1, 6),
         (3, 0, 6),
@@ -88,7 +93,7 @@ def test_reachable_subgraph_swap_pair():
     g = reachable_subgraph(PAIR13)
     assert g.seeds == (5,)
     assert g.nodes == (5, 6)
-    assert g.edges == ((5, 0, 5), (5, 1, 6), (6, 0, 6), (6, 1, 5))
+    assert tuple(g.iter_edges()) == ((5, 0, 5), (5, 1, 6), (6, 0, 6), (6, 1, 5))
     assert chain_lengths(g) == {5: 1, 6: 1}
 
 
@@ -107,20 +112,21 @@ def test_reachable_subgraph_closure_and_membership(p, e):
     # every node is an image of a seed or node; applying any generator
     # to any node lands on a node
     field = make_field(p, e)
-    quads = [MonicQuadratic(a, b) for a in field.elements() for b in field.elements()]
+    quads = [MonicQuadratic(a, b) for a in range(field.q) for b in range(field.q)]
     for pair in itertools.combinations(quads[:: max(1, field.q // 3)], 2):
         s = GeneratorSet(field, list(pair))
         g = reachable_subgraph(s)
         nodes = g.node_set()
         sources = set(g.seeds) | nodes
-        targets = set()
-        for u, i, v in g.edges:
+        edges = tuple(g.iter_edges())
+        images = set()
+        for u, i, v in edges:
             assert u in sources
             assert v in nodes
-            targets.add(v)
-        assert targets == nodes
+            images.add(v)
+        assert images == nodes
         # each source carries exactly one edge per generator
-        assert len(g.edges) == len(sources) * len(s)
+        assert len(edges) == len(sources) * len(s)
 
 
 def test_dist_is_minimal_walk_length():
@@ -213,7 +219,7 @@ def test_witness_prefixes_all_irreducible_exhaustive(p, e):
     # witness soundness and prefix minimality over every pair of
     # shift-free generators (a = 0 keeps this sweep small)
     field = make_field(p, e)
-    quads = [MonicQuadratic(0, b) for b in field.elements()]
+    quads = [MonicQuadratic(0, b) for b in range(field.q)]
     for pair in itertools.combinations(quads, 2):
         s = GeneratorSet(field, list(pair))
         v = check_semigroup_irreducible(s)
@@ -232,7 +238,7 @@ def shifted_sets(draw):
     """
     primes = st.sampled_from(PRIMES_BELOW_200).map(lambda p: (p, 1))
     field = cached_field(*draw(primes | st.sampled_from([(3, 2), (5, 2), (3, 3)])))
-    nonsquares = [b for b in field.elements() if not field.is_square(b)]
+    nonsquares = [b for b in range(field.q) if not field.is_square(b)]
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         a = draw(st.integers(1, field.q - 1))
@@ -261,7 +267,7 @@ def test_reach_graph_repr_leaves_out_parent_and_targets():
     )
     # the a/a+1 family pair over F_100003: 45,663 nodes, 91,326 targets
     big = reachable_subgraph(gset(make_field(100003), (5, 8), (6, 8)))
-    assert len(big.nodes) > 40000 and len(big.targets) == 2 * len(big.nodes)
+    assert len(big.nodes) > 40000 and len(targets(big)) == 2 * len(big.nodes)
     assert len(repr(big)) < len(repr(big.nodes)) + 200
 
 
@@ -271,16 +277,16 @@ def test_reach_graph_repr_leaves_out_parent_and_targets():
 def test_expanded_counts_the_derived_targets():
     # whole closure: every source expanded under every generator
     g = reachable_subgraph(PAIR13)
-    assert g.expanded == len(g.targets) == len(g.sources()) * 2
-    assert len(g.edges) == g.expanded
+    assert g.expanded == len(targets(g)) == len(g.sources()) * 2
+    assert len(tuple(g.iter_edges())) == g.expanded
     # early exit at a square: the last image is the first square node
     g = check_semigroup_irreducible(PAIR7_REDUCIBLE).graph
     assert g.first_square is not None
-    assert g.expanded == len(g.targets) < len(g.sources()) * 2
-    assert g.edges[-1] == g.first_square
+    assert g.expanded == len(targets(g)) < len(g.sources()) * 2
+    assert tuple(g.iter_edges())[-1] == g.first_square
     # a square b: the walk never starts
     g = check_semigroup_irreducible(gset(F7, (0, 3), (0, 2))).graph
-    assert g.expanded == 0 and g.targets == [] and g.edges == ()
+    assert g.expanded == 0 and targets(g) == [] and tuple(g.iter_edges()) == ()
 
 
 def walk_peak_per_node(s):
@@ -330,7 +336,7 @@ def test_records_are_tuples():
 def test_criterion_monotone_under_subsets(p, e):
     # an all-irreducible pair keeps both of its singletons irreducible
     field = make_field(p, e)
-    quads = [MonicQuadratic(a, b) for a in field.elements() for b in field.elements()]
+    quads = [MonicQuadratic(a, b) for a in range(field.q) for b in range(field.q)]
     for pair in itertools.combinations(quads, 2):
         s = GeneratorSet(field, list(pair))
         if check_semigroup_irreducible(s).irreducible:
@@ -417,23 +423,23 @@ def assert_early_exit_matches_closure(s):
     g, h = early.graph, full.graph
     assert g.seeds == h.seeds
     assert h.nodes[: len(g.nodes)] == g.nodes
-    assert h.targets[: len(g.targets)] == g.targets
+    assert targets(h)[: len(targets(g))] == targets(g)
     assert all(g.parent[v] == h.parent[v] for v in g.nodes)
     if early.reason == REASON_GENERATOR:
-        assert g.nodes == () and g.targets == []
+        assert g.nodes == () and targets(g) == []
     elif early.reason == REASON_REACHABLE:
         # the walk ends on the edge that discovered the first square
         assert g.first_square == h.first_square
-        assert g.nodes[-1] == g.targets[-1] == g.first_square[2]
+        assert g.nodes[-1] == targets(g)[-1] == g.first_square[2]
     else:
-        assert (g.nodes, g.targets, g.first_square) == (h.nodes, h.targets, None)
+        assert (g.nodes, targets(g), g.first_square) == (h.nodes, targets(h), None)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_early_exit_matches_closure_exhaustive(p, e):
     # every set of one or two generators over F_3, F_5, F_7 and F_9
     field = make_field(p, e)
-    quads = [MonicQuadratic(a, b) for a in field.elements() for b in field.elements()]
+    quads = [MonicQuadratic(a, b) for a in range(field.q) for b in range(field.q)]
     for size in (1, 2):
         for gens in itertools.combinations(quads, size):
             assert_early_exit_matches_closure(GeneratorSet(field, gens))
@@ -480,14 +486,14 @@ def reference_closure(s):
 
 def assert_walk_matches_reference(s):
     g = reachable_subgraph(s)
-    assert (g.nodes, g.parent, g.targets, g.first_square) == reference_closure(s)
+    assert (g.nodes, g.parent, targets(g), g.first_square) == reference_closure(s)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_walk_matches_reference_exhaustive(p, e):
     # every set of one or two generators over F_3, F_5, F_7 and F_9
     field = make_field(p, e)
-    quads = [MonicQuadratic(a, b) for a in field.elements() for b in field.elements()]
+    quads = [MonicQuadratic(a, b) for a in range(field.q) for b in range(field.q)]
     for size in (1, 2):
         for gens in itertools.combinations(quads, size):
             assert_walk_matches_reference(GeneratorSet(field, gens))
@@ -507,7 +513,7 @@ def test_parent_tie_takes_the_lowest_generator():
     assert 1 not in g.parent
     with pytest.raises(KeyError):
         g.parent[1]
-    assert (g.nodes, g.parent, g.targets, g.first_square) == reference_closure(s)
+    assert (g.nodes, g.parent, targets(g), g.first_square) == reference_closure(s)
 
 
 @pytest.mark.parametrize("p,e", [(10007, 1), (3, 7)])

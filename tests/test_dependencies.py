@@ -1,18 +1,83 @@
 """The package keeps zero runtime dependencies: every absolute import in
 ``src/quadsemi`` names the standard library or the package itself.  And
 importing the CLI loads every package module eagerly and no
-``dataclasses``.
+``dataclasses``.  The public surface is pinned, and so are the names the
+benchmark's tracer in ``bench/spans.py`` reads from the package.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import quadsemi
+from quadsemi import (
+    CrosscheckReport,
+    Field,
+    GeneratorSet,
+    MonicQuadratic,
+    ReachGraph,
+    make_field,
+    reachable_subgraph,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "quadsemi").glob("*.py"))
+
+PUBLIC = [
+    "CENSUS_FILTERS",
+    "CensusRow",
+    "CrosscheckReport",
+    "Field",
+    "GeneratorSet",
+    "MonicQuadratic",
+    "NonSquarePairRecord",
+    "REASON_GENERATOR",
+    "REASON_REACHABLE",
+    "ReachGraph",
+    "SingleGeneratorRecord",
+    "Verdict",
+    "census_pairs",
+    "check_semigroup_irreducible",
+    "compose_word",
+    "crosscheck",
+    "distinguished_set",
+    "evaluate",
+    "example_family",
+    "expand",
+    "export_dot",
+    "from_coeffs",
+    "make_field",
+    "max_indegree_from_nonsquares",
+    "nonsquare_pair_records",
+    "rabin_irreducible",
+    "reachable_subgraph",
+    "single_generator_records",
+    "verdict_from_graph",
+    "verify_lemma_p7mod8",
+    "verify_prop_p3mod4",
+    "witness_word",
+    "word_irreducible",
+]
+
+# (owner, name) pairs deleted as surface that no command or output read
+DELETED = [
+    (quadsemi, "frobenius_power"),
+    (quadsemi, "is_irreducible_quadratic"),
+    (quadsemi.polys, "frobenius_power"),
+    (quadsemi.polys, "poly_eval"),
+    (quadsemi.polys, "_require_monic"),
+    (quadsemi.quadratic, "is_irreducible_quadratic"),
+    (Field, "digits"),
+    (Field, "from_digits"),
+    (Field, "elements"),
+    (ReachGraph, "edges"),
+    (ReachGraph, "targets"),
+]
 
 
 def absolute_imports(path):
@@ -58,3 +123,38 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
         f"quadsemi.{m}"
         for m in ("cli", "criterion", "field", "oracle", "polys", "quadratic", "search")
     ]
+
+
+def test_public_surface_is_pinned():
+    assert quadsemi.__all__ == sorted(quadsemi.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(quadsemi, name) is not None
+    for owner, name in DELETED:
+        assert not hasattr(owner, name), (owner, name)
+
+
+def benchmark_traced():
+    """The TRACED list of bench/spans.py, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py assigns no TRACED")
+
+
+def test_names_the_benchmark_reads_resolve():
+    traced = benchmark_traced()
+    assert len(traced) == 13
+    for module, function in traced:
+        assert callable(getattr(importlib.import_module(f"quadsemi.{module}"), function))
+    # the tracer walks a witness back to its seed through graph.parent
+    field = make_field(7)
+    s = GeneratorSet(field, [MonicQuadratic(0, 3), MonicQuadratic(0, 5)])
+    graph = reachable_subgraph(s)
+    assert graph.first_square is not None and graph.nodes
+    for u in graph.nodes:
+        assert graph.parent[u][0] == graph.pred[u]
+    # and the oracle workload reads the reducible tally of each length
+    assert "reducible_per_length" in CrosscheckReport._fields

@@ -1,5 +1,6 @@
-"""Field layer: construction guards, element codec, arithmetic laws,
-and squareness testing, exhaustively at desk scale.
+"""Field layer: construction guards, arithmetic laws, squareness
+testing, and the table and digit kernels against the dense polynomial
+layer, exhaustively at desk scale.
 """
 
 import itertools
@@ -11,12 +12,13 @@ import quadsemi.field
 from quadsemi.field import (
     _TABLE_LIMIT,
     Field,
-    _digit_mulmod,
     _digits_of,
     _find_modulus,
+    _value_of,
     is_prime,
     make_field,
 )
+from quadsemi.polys import poly_mul, poly_rem
 from quadsemi.quadratic import GeneratorSet, MonicQuadratic
 
 # Squares (including 0) in small prime fields, frozen from direct
@@ -70,7 +72,6 @@ def test_make_field_rejects_bad_extension_degree():
 def test_prime_field_basic_shape():
     f = make_field(7)
     assert (f.p, f.e, f.q) == (7, 1, 7)
-    assert list(f.elements()) == list(range(7))
 
 
 def test_extension_field_shape_and_modulus():
@@ -162,14 +163,14 @@ def test_supplied_modulus_rejected_when_not_monic_or_wrong_degree():
 def test_digits_round_trip():
     f = make_field(3, 2)
     for v in range(f.q):
-        assert f.from_digits(f.digits(v)) == v
-    assert f.digits(5) == (2, 1)  # 5 = 2 + 1*3
+        assert _value_of(_digits_of(v, f.p, f.e), f.p) == v
+    assert _digits_of(5, f.p, f.e) == [2, 1]  # 5 = 2 + 1*3
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_field_axioms_exhaustive(p, e):
     f = make_field(p, e)
-    els = list(f.elements())
+    els = list(range(f.q))
     for x in els:
         assert f.add(x, 0) == x
         assert f.mul(x, 1) == x
@@ -209,17 +210,17 @@ def test_extension_multiplication_against_hand_values():
     # F_9 with modulus x^2 + 1: writing elements c0 + c1*t with t^2 = -1,
     # (1 + t)^2 = 2t -> encoded 6, and t * t = -1 = 2.
     f = make_field(3, 2)
-    t = f.from_digits((0, 1))
-    one_plus_t = f.from_digits((1, 1))
+    t = _value_of((0, 1), f.p)
+    one_plus_t = _value_of((1, 1), f.p)
     assert f.mul(t, t) == 2
-    assert f.mul(one_plus_t, one_plus_t) == f.from_digits((0, 2))
+    assert f.mul(one_plus_t, one_plus_t) == _value_of((0, 2), f.p)
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_is_square_matches_exhaustive_squaring(p, e):
     f = make_field(p, e)
-    squares = {f.mul(x, x) for x in f.elements()}
-    for v in f.elements():
+    squares = {f.mul(x, x) for x in range(f.q)}
+    for v in range(f.q):
         assert f.is_square(v) == (v in squares)
 
 
@@ -232,14 +233,14 @@ def test_frozen_square_sets():
 @pytest.mark.parametrize("p,e", SMALL_FIELDS + [(11, 1), (13, 1)])
 def test_nonzero_square_count(p, e):
     f = make_field(p, e)
-    nonzero_squares = {f.mul(x, x) for x in f.elements()} - {0}
+    nonzero_squares = {f.mul(x, x) for x in range(f.q)} - {0}
     assert len(nonzero_squares) == (f.q - 1) // 2
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_euler_criterion_agrees_with_table(p, e):
     f = make_field(p, e)
-    for v in f.elements():
+    for v in range(f.q):
         assert f.euler_is_square(v) == f.is_square(v)
 
 
@@ -265,21 +266,23 @@ def test_large_prime_field_skips_square_table():
     assert not f.is_square(f.mul(nonsquare, f.mul(12345, 12345)))
 
 
-# -- table kernel against digit-vector arithmetic --
+# -- table and digit kernels against the dense polynomial layer --
 
 
 def ref_add(f, x, y):
     xd, yd = _digits_of(x, f.p, f.e), _digits_of(y, f.p, f.e)
-    return f.from_digits([(a + b) % f.p for a, b in zip(xd, yd)])
+    return _value_of([(a + b) % f.p for a, b in zip(xd, yd)], f.p)
 
 
 def ref_neg(f, x):
-    return f.from_digits([-d % f.p for d in _digits_of(x, f.p, f.e)])
+    return _value_of([-d % f.p for d in _digits_of(x, f.p, f.e)], f.p)
 
 
 def ref_mul(f, x, y):
+    # digit vectors multiplied and reduced by polys over F_p, not by the
+    # field's own digit product, which Field.mul runs above _TABLE_LIMIT
     xd, yd = _digits_of(x, f.p, f.e), _digits_of(y, f.p, f.e)
-    return f.from_digits(_digit_mulmod(xd, yd, f.modulus, f.p, f.e))
+    return _value_of(poly_rem(f._base, poly_mul(f._base, xd, yd), f.modulus), f.p)
 
 
 def ref_pow(f, x, n):
@@ -329,7 +332,7 @@ def test_kernel_matches_digit_reference_exhaustive(p, e, modulus):
         # the root x is encoded as p
         order = min(k for k in range(1, f.q) if ref_pow(f, p, k) == 1)
         assert order == SUPPLIED_ROOT_ORDER[p, e]
-    els = list(f.elements())
+    els = list(range(f.q))
     assert_kernel_matches_reference(f, [(x, y) for x in els for y in els], els)
 
 
