@@ -44,37 +44,32 @@ class ReachGraph(NamedTuple):
     distinguished set by paths of positive length, as far as explored.
 
     nodes lists elements in BFS discovery order; a distinguished value
-    appears among the nodes only if some walk re-enters it.  pred is a
-    read-only mapping, iterated in discovery order, from each node to the
-    source that first discovered it: its chain back to a seed is a
-    shortest walk.  parent is derived from pred: it maps each node to
-    (predecessor, generator index), the index found again by evaluating
-    the maps.  first_square is the edge that discovered the earliest
-    square node, or None when every explored node is a non-square.
-    expanded counts the walk's map evaluations: one per expanded source
-    (in sources() order) and generator, fewer on the last source when
-    the walk stopped at a square.  The images themselves are not stored;
-    iter_edges evaluates the maps again.
+    appears among the nodes only if some walk re-enters it.  parent is a
+    read-only mapping, iterated in discovery order, from each node v to
+    (u, i): u is the source that first discovered v, so its chain back to
+    a seed is a shortest walk, and i is the generator index that took u
+    to v, found again by evaluating the maps.  first_square is the edge
+    that discovered the earliest square node, or None when every
+    explored node is a non-square.  expanded counts the walk's map
+    evaluations: one per expanded source (in sources() order) and
+    generator, fewer on the last source when the walk stopped at a
+    square.  The images themselves are not stored; iter_edges evaluates
+    the maps again.
     """
 
     generators: GeneratorSet
     seeds: tuple[int, ...]
     nodes: tuple[int, ...]
-    pred: Mapping[int, int]
+    parent: Mapping[int, tuple[int, int]]
     first_square: tuple[int, int, int] | None
     expanded: int
 
     def __repr__(self) -> str:
-        # pred is left out: a large closure has millions of entries
+        # parent is left out: a large closure has millions of entries
         return (
             f"ReachGraph(generators={self.generators!r}, seeds={self.seeds!r}, "
             f"nodes={self.nodes!r}, first_square={self.first_square!r})"
         )
-
-    @property
-    def parent(self) -> Mapping[int, tuple[int, int]]:
-        """Read-only view: node -> (predecessor, generator index)."""
-        return _ParentView(self.generators, self.pred)
 
     @property
     def field(self) -> Field:
@@ -111,59 +106,47 @@ class ReachGraph(NamedTuple):
                     yield u, i, sub(mul(t, t), b)
 
 
-class _PredView(Mapping):
-    """node -> predecessor, read from the walk's store: a dict, or an
-    array indexed by element that holds -1 where no node is.
+class _ParentView(Mapping):
+    """node -> (u, i), read from the walk's store: a dict, or an array
+    indexed by element that holds -1 where no node is.  u is the stored
+    predecessor and i the lowest generator index with f_i(u) = node; the
+    walk tries the generators of each source in input order, so that is
+    the generator that discovered the node.  Membership, length and
+    iteration read only the store and the nodes.
     """
 
-    __slots__ = ("_nodes", "_store")
+    __slots__ = ("_generators", "_nodes", "_store")
 
-    def __init__(self, nodes: tuple[int, ...], store: array | dict[int, int]):
+    def __init__(
+        self,
+        generators: GeneratorSet,
+        nodes: tuple[int, ...],
+        store: array | dict[int, int],
+    ):
+        self._generators = generators
         self._nodes = nodes
         self._store = store
 
-    def __getitem__(self, v: int) -> int:
+    def __getitem__(self, v: int) -> tuple[int, int]:
+        if v not in self:
+            raise KeyError(v)
+        u = self._store[v]
+        field = self._generators.field
+        gens = self._generators.gens
+        return u, next(i for i, g in enumerate(gens) if evaluate(field, g, u) == v)
+
+    def __contains__(self, v: object) -> bool:
         store = self._store
         if isinstance(store, dict):
-            return store[v]
+            return v in store
         # an array would read a negative index from its end
-        if isinstance(v, int) and 0 <= v < len(store) and store[v] >= 0:
-            return store[v]
-        raise KeyError(v)
+        return isinstance(v, int) and 0 <= v < len(store) and store[v] >= 0
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._nodes)
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-
-class _ParentView(Mapping):
-    """node -> (u, i) with u = pred[node] and i the lowest generator index
-    with f_i(u) = node.  The walk tries the generators of each source in
-    input order, so that is the generator that discovered the node.
-    """
-
-    __slots__ = ("_generators", "_pred")
-
-    def __init__(self, generators: GeneratorSet, pred: Mapping[int, int]):
-        self._generators = generators
-        self._pred = pred
-
-    def __getitem__(self, v: int) -> tuple[int, int]:
-        u = self._pred[v]
-        field = self._generators.field
-        gens = self._generators.gens
-        return u, next(i for i, g in enumerate(gens) if evaluate(field, g, u) == v)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self._pred
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._pred)
-
-    def __len__(self) -> int:
-        return len(self._pred)
 
 
 def _map_kernel(generators: GeneratorSet):
@@ -239,7 +222,7 @@ def reachable_subgraph(
         generators=generators,
         seeds=seeds,
         nodes=nodes,
-        pred=_PredView(nodes, pred),
+        parent=_ParentView(generators, nodes, pred),
         first_square=first_square,
         expanded=expanded,
     )
@@ -277,25 +260,26 @@ def word_irreducible(generators: GeneratorSet, word: Sequence[int]) -> bool:
     return _first_chain_failure(generators, w) is None
 
 
-def witness_word(generators: GeneratorSet, graph: ReachGraph) -> tuple[int, ...]:
+def witness_word(graph: ReachGraph) -> tuple[int, ...]:
     """A reducible word certifying a failed check, from a shortest walk
     to a square node.
 
     A generator whose b is square is already reducible on its own and is
     returned as a one-letter word (lowest index first).  Otherwise the
     walk seed -> ... -> square, read back from the square through
-    graph.pred, gives the outer letters.  Each letter is the lowest
-    index of a generator taking a node of the walk to the next, found by
-    evaluating the maps again along that walk only (graph.parent).  The
-    innermost letter is the lowest-index generator whose -b equals the
-    seed.  No shorter outer-prefix of that word is reducible: its chain
-    values before the last are the walk's earlier nodes, which lie on
-    lower BFS levels than the first square node and so are non-squares.
-    The tests check this on random and exhaustive sets.  Raises
-    ValueError when nothing is reducible.
+    graph.parent, gives the outer letters: each is the lowest index of a
+    generator taking a node of the walk to the next, found by evaluating
+    the maps again along that walk only.  The innermost letter is the
+    lowest-index generator whose -b equals the seed.  No shorter
+    outer-prefix of that word is reducible: its chain values before the
+    last are the walk's earlier nodes, which lie on lower BFS levels than
+    the first square node and so are non-squares.  The tests check this
+    on random and exhaustive sets.  Raises ValueError when nothing is
+    reducible.
     """
-    field = generators.field
-    for i, g in enumerate(generators.gens):
+    field = graph.field
+    gens = graph.generators.gens
+    for i, g in enumerate(gens):
         if field.is_square(g.b):
             return (i,)
     if graph.first_square is None:
@@ -307,9 +291,7 @@ def witness_word(generators: GeneratorSet, graph: ReachGraph) -> tuple[int, ...]
     while u not in seed_set:
         u, lab = parent[u]
         labels.append(lab)
-    inner = next(
-        j for j, g in enumerate(generators.gens) if field.neg(g.b) == u
-    )
+    inner = next(j for j, g in enumerate(gens) if field.neg(g.b) == u)
     return tuple(labels) + (inner,)
 
 
@@ -336,9 +318,9 @@ def verdict_from_graph(graph: ReachGraph) -> Verdict:
     """The verdict a graph decides: a square b, else its first square node."""
     generators = graph.generators
     if any(generators.field.is_square(g.b) for g in generators.gens):
-        return Verdict(False, REASON_GENERATOR, witness_word(generators, graph), graph)
+        return Verdict(False, REASON_GENERATOR, witness_word(graph), graph)
     if graph.first_square is not None:
-        return Verdict(False, REASON_REACHABLE, witness_word(generators, graph), graph)
+        return Verdict(False, REASON_REACHABLE, witness_word(graph), graph)
     return Verdict(True, None, None, graph)
 
 

@@ -11,12 +11,13 @@ The census reuses each swept quadratic in about q^2/2 pairs, so it
 decides its pairs on one image table per quadratic, built on first use,
 and never builds a generator set or a graph.  The verify_* functions
 need only a yes or no per shift-free set, so each set is decided by a
-walk over bare integers that returns at its first square node.  The
-records and the family walk through the criterion module:
-single_generator_records and example_family stop at each set's first
-square, and nonsquare_pair_records reads its statistics off the whole
-closure.  A census over a field with q^2 > 2^20 is refused, and so is
-one of more than 2^20 pairs without a limit.
+walk over bare integers, one growing list without BFS levels, that
+returns at its first square node.  The records and the family walk
+through the criterion module: single_generator_records and
+example_family stop at each set's first square, and
+nonsquare_pair_records reads its statistics off the whole closure.  A
+census over a field with q^2 > 2^20 is refused, and so is one of more
+than 2^20 pairs without a limit.
 """
 
 from __future__ import annotations
@@ -225,25 +226,24 @@ def _reaches_square(
 
     The verdict of check_semigroup_irreducible for the shift-free set
     {x^2 - b : b in shifts} with non-square b is the negation of this,
-    reached without a generator set, a graph or a witness.  The walk
-    goes level by level; each newly found element, a re-entered seed
+    reached without a generator set, a graph or a witness.  A yes or no
+    needs no BFS levels, so the walk runs over one list that grows while
+    it is iterated: each newly found element, a re-entered seed
     included, is tested once, and seeds are expanded only at the start.
     """
     seeds = {-b % p for b in shifts}
-    level = list(seeds)
+    sources = list(seeds)
     found: set[int] = set()
-    while level:
-        sources, level = level, []
-        for u in sources:
-            uu = u * u
-            for b in shifts:
-                v = (uu - b) % p
-                if v not in found:
-                    if is_square(v):
-                        return True
-                    found.add(v)
-                    if v not in seeds:
-                        level.append(v)
+    for u in sources:  # grows while it is walked
+        uu = u * u
+        for b in shifts:
+            v = (uu - b) % p
+            if v not in found:
+                if is_square(v):
+                    return True
+                found.add(v)
+                if v not in seeds:
+                    sources.append(v)
     return False
 
 

@@ -202,16 +202,16 @@ def test_verdict_reachable_square_with_witness():
 
 def test_witness_word_examples():
     v = check_semigroup_irreducible(PAIR7_REDUCIBLE)
-    assert witness_word(PAIR7_REDUCIBLE, v.graph) == (0, 1)
+    assert witness_word(v.graph) == (0, 1)
     single = gset(F7, (0, 5))
-    assert witness_word(single, reachable_subgraph(single)) == (0, 0, 0, 0)
+    assert witness_word(reachable_subgraph(single)) == (0, 0, 0, 0)
     square_b = gset(F7, (0, 4))
-    assert witness_word(square_b, reachable_subgraph(square_b)) == (0,)
+    assert witness_word(reachable_subgraph(square_b)) == (0,)
 
 
 def test_witness_word_raises_on_irreducible_set():
     with pytest.raises(ValueError):
-        witness_word(PAIR13, reachable_subgraph(PAIR13))
+        witness_word(reachable_subgraph(PAIR13))
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
@@ -506,7 +506,7 @@ def test_parent_tie_takes_the_lowest_generator():
     s = gset(F7, (0, 0), (4, 0))
     g = reachable_subgraph(s)
     assert evaluate(F7, s.gens[0], 2) == evaluate(F7, s.gens[1], 2) == 4
-    assert g.pred == {0: 0, 2: 0, 4: 2}
+    assert {v: u for v, (u, _) in g.parent.items()} == {0: 0, 2: 0, 4: 2}
     assert g.parent[4] == (2, 0)
     assert tuple(g.parent) == g.nodes
     assert len(g.parent) == len(g.nodes)
@@ -533,11 +533,11 @@ def walk_record(s, stop):
     """The walk's store type and everything its readers see."""
     g = reachable_subgraph(s, _stop_at_square=stop)
     try:
-        witness = witness_word(s, g)
+        witness = witness_word(g)
     except ValueError:
         witness = None
-    seen = (g.nodes, dict(g.pred), dict(g.parent), g.first_square, g.expanded, witness)
-    return type(g.pred._store), seen
+    seen = (g.nodes, dict(g.parent), g.first_square, g.expanded, witness)
+    return type(g.parent._store), seen
 
 
 @st.composite
@@ -565,17 +565,27 @@ def test_array_walk_equals_dict_walk(s):
 
 
 @pytest.mark.parametrize("limit", [None, 0], ids=["array", "dict"])
-def test_pred_view_refuses_what_is_not_a_node(monkeypatch, limit):
+def test_parent_view_refuses_what_is_not_a_node(monkeypatch, limit):
     if limit is not None:
         monkeypatch.setattr(criterion, "_TABLE_LIMIT", limit)
     # x^2 - 1 over F_7: 6 -> 0 -> 6, so an array store holds a
     # predecessor at index -1 (element 6) and at index -7 (element 0)
     g = reachable_subgraph(gset(F7, (0, 1)))
     assert g.nodes == (0, 6)
-    assert g.pred == {0: 6, 6: 0}
-    assert list(g.pred) == [0, 6] and len(g.pred) == 2
+    assert g.parent == {0: (6, 0), 6: (0, 0)}
+    calls = []
+
+    def counting_evaluate(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(criterion, "evaluate", counting_evaluate)
+    assert list(g.parent) == [0, 6] and len(g.parent) == 2
+    assert 0 in g.parent and 6 in g.parent
     for key in (-1, -7, 7, 1, 2.0, "6", None):
-        assert key not in g.pred
         assert key not in g.parent
         with pytest.raises(KeyError):
-            g.pred[key]
+            g.parent[key]
+    # in, len, iteration and a refused key read only the store
+    assert calls == []
+    assert g.parent[0] == (6, 0) and calls

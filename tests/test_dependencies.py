@@ -77,6 +77,8 @@ DELETED = [
     (Field, "elements"),
     (ReachGraph, "edges"),
     (ReachGraph, "targets"),
+    (ReachGraph, "pred"),
+    (quadsemi.criterion, "_PredView"),
 ]
 
 
@@ -149,12 +151,19 @@ def test_names_the_benchmark_reads_resolve():
     assert len(traced) == 13
     for module, function in traced:
         assert callable(getattr(importlib.import_module(f"quadsemi.{module}"), function))
-    # the tracer walks a witness back to its seed through graph.parent
+    # the tracer walks a witness back to its seed through graph.parent,
+    # whose first entry is the predecessor of a plain BFS
     field = make_field(7)
     s = GeneratorSet(field, [MonicQuadratic(0, 3), MonicQuadratic(0, 5)])
     graph = reachable_subgraph(s)
     assert graph.first_square is not None and graph.nodes
-    for u in graph.nodes:
-        assert graph.parent[u][0] == graph.pred[u]
+    pred, queue = {}, sorted({-g.b % 7 for g in s.gens})
+    for u in queue:
+        for g in s.gens:
+            v = (u * u - g.b) % 7
+            if v not in pred:
+                pred[v] = u
+                queue.append(v)
+    assert {u: graph.parent[u][0] for u in graph.nodes} == pred
     # and the oracle workload reads the reducible tally of each length
     assert "reducible_per_length" in CrosscheckReport._fields
