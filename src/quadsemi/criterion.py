@@ -137,10 +137,10 @@ class _ParentView(Mapping):
 
     def __contains__(self, v: object) -> bool:
         store = self._store
-        if isinstance(store, dict):
-            return v in store
+        if not isinstance(v, int):  # never a node, whatever the store
+            return False
         # an array would read a negative index from its end
-        return isinstance(v, int) and 0 <= v < len(store) and store[v] >= 0
+        return v in store if isinstance(store, dict) else 0 <= v < len(store) and store[v] >= 0
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._nodes)

@@ -7,15 +7,13 @@ defining polynomial.  For e = 1 the encoding is the usual integer
 residue.  All operations are pure functions of the encoded values, so a
 Field instance can be shared freely between threads or worker processes.
 
-Up to q = 2^20 an extension field keeps O(q) tables of a primitive
-element g: antilogarithms, logarithms and Zech logarithms
-log(1 + g^d), so every operation is one or two lookups.  The powers of
-g come from the packed matrix kernel of ``polys``: the matrix of
-multiplication by g, applied once per power.  Larger extension fields
-work on digit vectors; there a power is ``polys.poly_pow_mod`` over F_p
-on the digit vector.  The tests check both against the dense polynomial
-layer: a product is ``polys.poly_mul`` of the digit vectors over F_p,
-reduced by ``polys.poly_rem`` modulo the defining polynomial.
+Each field has one arithmetic kernel, picked by make_field: integer
+residues for a prime field; up to q = 2^20, O(q) tables of a primitive
+element g (antilogarithms, logarithms and Zech logarithms log(1 + g^d)),
+so an operation is one or two lookups; above that, the dense layer of
+``polys`` over F_p on digit vectors, modulo the defining polynomial.
+The table kernel extends the digit kernel, whose powers find g.  The
+tests check the digit kernel against the table kernel.
 
 Fields of even characteristic are rejected: the quadratic-residue
 machinery this package is built around needs 2 to be invertible.
@@ -25,12 +23,19 @@ from __future__ import annotations
 
 import itertools
 
-from .polys import _matrix_step, _prime_factors, poly_pow_mod, poly_rem, rabin_irreducible
+from .polys import (
+    _matrix_step,
+    _prime_factors,
+    poly_add,
+    poly_mul,
+    poly_pow_mod,
+    poly_rem,
+    poly_sub,
+    rabin_irreducible,
+)
 
-# Up to this order a field keeps a squareness table and, for e > 1,
-# logarithm, antilogarithm and Zech-logarithm tables (O(q) entries
-# each).  Above it squareness is Euler's criterion and extension-field
-# arithmetic works on digit vectors.
+# Up to this order a field keeps a squareness table and an extension field
+# takes the table kernel; above it, Euler's criterion and the digit kernel.
 _TABLE_LIMIT = 1 << 20
 
 # The first 13 primes: Miller-Rabin to these bases is exact below
@@ -64,14 +69,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _digits_of(value: int, p: int, e: int) -> list[int]:
-    out = []
-    for _ in range(e):
-        value, r = divmod(value, p)
-        out.append(r)
-    return out
-
-
 def _value_of(digits, p: int) -> int:
     value = 0
     for d in reversed(digits):
@@ -79,124 +76,46 @@ def _value_of(digits, p: int) -> int:
     return value
 
 
-def _digit_mulmod(xd: list[int], yd: list[int], mod: tuple[int, ...], p: int, e: int) -> list[int]:
-    # schoolbook product of two degree < e digit vectors, reduced by the
-    # monic defining polynomial
-    t = [0] * (2 * e - 1)
-    for i, xi in enumerate(xd):
-        if xi:
-            for j, yj in enumerate(yd):
-                t[i + j] += xi * yj
-    for k in range(2 * e - 2, e - 1, -1):
-        c = t[k] % p
-        if c:
-            off = k - e
-            for j in range(e):
-                t[off + j] -= c * mod[j]
-    return [t[j] % p for j in range(e)]
-
-
 class Field:
-    """Immutable arithmetic context for F_q, q = p^e with p an odd prime.
+    """Immutable arithmetic context for F_q, q = p^e with p an odd prime,
+    and the prime kernel; extension fields are private subclasses.
 
     Construct through :func:`make_field`, which validates the inputs and
     selects the defining polynomial.  ``modulus`` is stored little-endian
     with length e + 1 and leading coefficient 1; for prime fields it is
-    the trivial (0, 1), i.e. the polynomial x.  An extension field keeps
-    in ``_base`` the prime field F_p that make_field built to choose or
-    check the modulus, the coefficient field of its digit vectors; a
-    prime field keeps None there.
+    the trivial (0, 1), i.e. the polynomial x.  ``_base`` is None for a
+    prime field, else F_p, the coefficient field of the digit vectors.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_base", "_exp", "_log", "_zech", "_square_t")
+    __slots__ = ("p", "e", "q", "modulus", "_base", "_square_t")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...], base: Field | None = None):
         self.p = p
         self.e = e
-        self.q = q = p**e
+        self.q = p**e
         self.modulus = modulus
         self._base = base
-        self._exp = self._log = self._zech = self._square_t = None
-        if q > _TABLE_LIMIT:
-            return
-        sq = bytearray(q)
-        if e == 1:
-            for x in range((p + 1) // 2):
-                sq[x * x % p] = 1
-        else:
-            self._build_log_tables()
-            sq[0] = 1
-            for v in self._exp[0 : q - 1 : 2]:
-                sq[v] = 1
-        self._square_t = bytes(sq)
+        self._square_t = bytes(self._tables()) if self.q <= _TABLE_LIMIT else None
 
-    def _build_log_tables(self):
-        # exp[k] = g^k for the smallest-encoded primitive g (constants lie
-        # in F_p and never are), stored twice over so that a sum of two
-        # logarithms needs no reduction; log[0] = -1; zech[d] =
-        # log(1 + g^d), which is -1 exactly when g^d = -1.
-        p, e, n = self.p, self.e, self.q - 1
-        tests = [n // r for r in _prime_factors(n)]
-        g = next(g for g in range(p, n + 1) if all(self.pow(g, t) != 1 for t in tests))
-        # row j of the matrix of multiplication by g is x^j g mod modulus
-        gd = _digits_of(g, p, e)
-        times_g = _matrix_step(
-            self._base, [poly_rem(self._base, [0] * j + gd, self.modulus) for j in range(e)]
-        )
-        # the three tables share one int object per value, which cuts
-        # their memory by about a quarter near the table limit
-        pool = list(range(n + 1))
-        powers = [1]
-        cur = [1]
-        for _ in range(n - 1):
-            cur = times_g(cur)
-            powers.append(pool[_value_of(cur, p)])
-        log = [0] * (n + 1)
-        for k, v in enumerate(powers):
-            log[v] = pool[k]
-        log[0] = -1
-        self._exp = powers + powers
-        self._log = log
-        # 1 + v only changes the lowest digit of v
-        self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
-
-    # -- arithmetic ----------------------------------------------------
+    def _tables(self) -> bytearray:
+        # a kernel's O(q) tables; returns the squareness table (0 a square)
+        p = self.p
+        sq = bytearray(p)
+        for x in range((p + 1) // 2):
+            sq[x * x % p] = 1
+        return sq
 
     def add(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x + y) % self.p
-        log = self._log
-        if log is not None:
-            if not x or not y:
-                return x or y
-            lx = log[x]
-            # x + y = g^lx (1 + g^(ly - lx)); a negative index into zech
-            # reads it modulo q - 1
-            z = self._zech[log[y] - lx]
-            return self._exp[lx + z] if z >= 0 else 0
-        xd = _digits_of(x, self.p, self.e)
-        yd = _digits_of(y, self.p, self.e)
-        return _value_of([(a + b) % self.p for a, b in zip(xd, yd)], self.p)
+        return (x + y) % self.p
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def neg(self, x: int) -> int:
-        if self.e == 1:
-            return -x % self.p
-        if self._log is not None:  # -1 = g^((q - 1) / 2)
-            return self._exp[self._log[x] + (self.q - 1) // 2] if x else 0
-        p = self.p
-        return _value_of([-d % p for d in _digits_of(x, p, self.e)], p)
+        return -x % self.p
 
     def mul(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return x * y % self.p
-        if self._log is not None:
-            return self._exp[self._log[x] + self._log[y]] if x and y else 0
-        xd = _digits_of(x, self.p, self.e)
-        yd = _digits_of(y, self.p, self.e)
-        return _value_of(_digit_mulmod(xd, yd, self.modulus, self.p, self.e), self.p)
+        return x * y % self.p
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -206,16 +125,10 @@ class Field:
     def pow(self, x: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(x), -n)
-        if self.e == 1:
-            return pow(x, n, self.p)
-        if self._log is not None:
-            if not x:
-                return 0 if n else 1
-            return self._exp[self._log[x] * n % (self.q - 1)]
-        p = self.p
-        return _value_of(poly_pow_mod(self._base, _digits_of(x, p, self.e), n, self.modulus), p)
+        return self._pow(x, n)
 
-    # -- residues ------------------------------------------------------
+    def _pow(self, x: int, n: int) -> int:
+        return pow(x, n, self.p)
 
     def is_square(self, x: int) -> bool:
         """Quadratic-residue test; 0 counts as a square (0 = 0^2)."""
@@ -228,8 +141,6 @@ class Field:
         if x == 0:
             return True
         return self.pow(x, (self.q - 1) // 2) == 1
-
-    # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -246,6 +157,95 @@ class Field:
         if self.e == 1:
             return f"Field(p={self.p})"
         return f"Field(p={self.p}, e={self.e}, modulus={list(self.modulus)})"
+
+
+class _DigitField(Field):
+    """The digit kernel, above _TABLE_LIMIT: each operation is the dense
+    layer's over F_p on digit vectors, modulo the defining polynomial."""
+
+    __slots__ = ()
+
+    def _vector(self, x: int) -> list[int]:
+        # the e base-p digits of x, little-endian
+        p, out = self.p, []
+        for _ in range(self.e):
+            x, r = divmod(x, p)
+            out.append(r)
+        return out
+
+    def add(self, x: int, y: int) -> int:
+        return _value_of(poly_add(self._base, self._vector(x), self._vector(y)), self.p)
+
+    def neg(self, x: int) -> int:
+        return _value_of(poly_sub(self._base, [], self._vector(x)), self.p)
+
+    def mul(self, x: int, y: int) -> int:
+        product = poly_mul(self._base, self._vector(x), self._vector(y))
+        return _value_of(poly_rem(self._base, product, self.modulus), self.p)
+
+    def _pow(self, x: int, n: int) -> int:
+        return _value_of(poly_pow_mod(self._base, self._vector(x), n, self.modulus), self.p)
+
+
+class _TableField(_DigitField):
+    """The table kernel, up to _TABLE_LIMIT: exp[k] = g^k for the smallest-
+    encoded primitive g (constants lie in F_p and never are), twice over
+    so that a sum of two logarithms needs no reduction; log[0] = -1;
+    zech[d] = log(1 + g^d), which is -1 exactly when g^d = -1."""
+
+    __slots__ = ("_exp", "_log", "_zech")
+
+    def _tables(self) -> bytearray:
+        # the digit kernel's powers find g; row j of the matrix of
+        # multiplication by g is x^j g mod modulus
+        p, n, base = self.p, self.q - 1, self._base
+        tests = [n // r for r in _prime_factors(n)]
+        power = super()._pow
+        g = next(g for g in range(p, n + 1) if all(power(g, t) != 1 for t in tests))
+        times_g = _matrix_step(
+            base, [poly_rem(base, [0] * j + self._vector(g), self.modulus) for j in range(self.e)]
+        )
+        # the three tables share one int object per value, which cuts
+        # their memory by about a quarter near the table limit
+        pool = list(range(n + 1))
+        powers, cur = [1], [1]
+        for _ in range(n - 1):
+            cur = times_g(cur)
+            powers.append(pool[_value_of(cur, p)])
+        log = [0] * (n + 1)
+        for k, v in enumerate(powers):
+            log[v] = pool[k]
+        log[0] = -1
+        self._exp = powers + powers
+        self._log = log
+        # 1 + v only changes the lowest digit of v
+        self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
+        sq = bytearray(n + 1)
+        sq[0] = 1
+        for v in powers[::2]:
+            sq[v] = 1
+        return sq
+
+    def add(self, x: int, y: int) -> int:
+        if not x or not y:
+            return x or y
+        log = self._log
+        lx = log[x]
+        # x + y = g^lx (1 + g^(ly - lx)); a negative index into zech
+        # reads it modulo q - 1
+        z = self._zech[log[y] - lx]
+        return self._exp[lx + z] if z >= 0 else 0
+
+    def neg(self, x: int) -> int:  # -1 = g^((q - 1) / 2)
+        return self._exp[self._log[x] + (self.q - 1) // 2] if x else 0
+
+    def mul(self, x: int, y: int) -> int:
+        return self._exp[self._log[x] + self._log[y]] if x and y else 0
+
+    def _pow(self, x: int, n: int) -> int:
+        if not x:
+            return 0 if n else 1
+        return self._exp[self._log[x] * n % (self.q - 1)]
 
 
 def _find_modulus(prime_field: Field, e: int) -> tuple[int, ...]:
@@ -297,4 +297,4 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
             raise ValueError(f"modulus coefficients must lie in [0, {p})")
         if not rabin_irreducible(prime_field, list(mod)):
             raise ValueError("supplied modulus is reducible over F_p")
-    return Field(p, e, mod, prime_field)
+    return (_TableField if p**e <= _TABLE_LIMIT else _DigitField)(p, e, mod, prime_field)

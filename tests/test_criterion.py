@@ -582,7 +582,7 @@ def test_parent_view_refuses_what_is_not_a_node(monkeypatch, limit):
     monkeypatch.setattr(criterion, "evaluate", counting_evaluate)
     assert list(g.parent) == [0, 6] and len(g.parent) == 2
     assert 0 in g.parent and 6 in g.parent
-    for key in (-1, -7, 7, 1, 2.0, "6", None):
+    for key in (-1, -7, 7, 1, 2.0, 6.0, "6", None):
         assert key not in g.parent
         with pytest.raises(KeyError):
             g.parent[key]

@@ -1,8 +1,9 @@
 """The package keeps zero runtime dependencies: every absolute import in
 ``src/quadsemi`` names the standard library or the package itself.  And
 importing the CLI loads every package module eagerly and no
-``dataclasses``.  The public surface is pinned, and so are the names the
-benchmark's tracer in ``bench/spans.py`` reads from the package.
+``dataclasses``.  The public surface is pinned, and so are the kernel
+make_field picks and the names the benchmark's tracer in
+``bench/spans.py`` reads from the package.
 """
 
 import ast
@@ -23,6 +24,7 @@ from quadsemi import (
     make_field,
     reachable_subgraph,
 )
+from quadsemi.field import _DigitField, _TableField
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -79,6 +81,8 @@ DELETED = [
     (ReachGraph, "targets"),
     (ReachGraph, "pred"),
     (quadsemi.criterion, "_PredView"),
+    (quadsemi.field, "_digit_mulmod"),
+    (quadsemi.field, "_digits_of"),
 ]
 
 
@@ -133,6 +137,17 @@ def test_public_surface_is_pinned():
         assert getattr(quadsemi, name) is not None
     for owner, name in DELETED:
         assert not hasattr(owner, name), (owner, name)
+
+
+def test_make_field_picks_one_kernel_per_field():
+    # the prime kernel is Field itself; an extension field takes the table
+    # kernel up to the table limit and the digit kernel above it
+    assert type(make_field(7)) is Field
+    assert type(make_field(3, 2)) is _TableField
+    assert type(make_field(3, 7)) is _TableField
+    assert type(make_field(1031, 2)) is _DigitField
+    assert issubclass(_TableField, _DigitField) and issubclass(_DigitField, Field)
+    assert not {"_DigitField", "_TableField"} & set(quadsemi.__all__)
 
 
 def benchmark_traced():

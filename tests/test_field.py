@@ -1,6 +1,6 @@
 """Field layer: construction guards, arithmetic laws, squareness
-testing, and the table and digit kernels against the dense polynomial
-layer, exhaustively at desk scale.
+testing, and the digit kernel against the table kernel, exhaustively at
+desk scale.
 """
 
 import itertools
@@ -12,13 +12,13 @@ import quadsemi.field
 from quadsemi.field import (
     _TABLE_LIMIT,
     Field,
-    _digits_of,
+    _DigitField,
     _find_modulus,
+    _TableField,
     _value_of,
     is_prime,
     make_field,
 )
-from quadsemi.polys import poly_mul, poly_rem
 from quadsemi.quadratic import GeneratorSet, MonicQuadratic
 
 # Squares (including 0) in small prime fields, frozen from direct
@@ -163,8 +163,8 @@ def test_supplied_modulus_rejected_when_not_monic_or_wrong_degree():
 def test_digits_round_trip():
     f = make_field(3, 2)
     for v in range(f.q):
-        assert _value_of(_digits_of(v, f.p, f.e), f.p) == v
-    assert _digits_of(5, f.p, f.e) == [2, 1]  # 5 = 2 + 1*3
+        assert _value_of(f._vector(v), f.p) == v
+    assert f._vector(5) == [2, 1]  # 5 = 2 + 1*3
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
@@ -266,49 +266,33 @@ def test_large_prime_field_skips_square_table():
     assert not f.is_square(f.mul(nonsquare, f.mul(12345, 12345)))
 
 
-# -- table and digit kernels against the dense polynomial layer --
+# -- the digit kernel against the table kernel --
 
 
-def ref_add(f, x, y):
-    xd, yd = _digits_of(x, f.p, f.e), _digits_of(y, f.p, f.e)
-    return _value_of([(a + b) % f.p for a, b in zip(xd, yd)], f.p)
+def digit_kernel(p, e, modulus=None):
+    """F_{p^e} on the digit kernel, which make_field otherwise picks only
+    above _TABLE_LIMIT."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadsemi.field, "_TABLE_LIMIT", 0)
+        return make_field(p, e, modulus)
 
 
-def ref_neg(f, x):
-    return _value_of([-d % f.p for d in _digits_of(x, f.p, f.e)], f.p)
-
-
-def ref_mul(f, x, y):
-    # digit vectors multiplied and reduced by polys over F_p, not by the
-    # field's own digit product, which Field.mul runs above _TABLE_LIMIT
-    xd, yd = _digits_of(x, f.p, f.e), _digits_of(y, f.p, f.e)
-    return _value_of(poly_rem(f._base, poly_mul(f._base, xd, yd), f.modulus), f.p)
-
-
-def ref_pow(f, x, n):
-    result = 1
-    while n:
-        if n & 1:
-            result = ref_mul(f, result, x)
-        x = ref_mul(f, x, x)
-        n >>= 1
-    return result
-
-
-def assert_kernel_matches_reference(f, pairs, singles):
+def assert_digit_kernel_matches_table_kernel(p, e, modulus, pairs, singles):
+    d, t = digit_kernel(p, e, modulus), make_field(p, e, modulus)
+    assert (type(d), type(t)) == (_DigitField, _TableField) and d == t
+    assert d._square_t is None  # so is_square below is Euler's criterion
     for x, y in pairs:
-        assert f.add(x, y) == ref_add(f, x, y), (x, y)
-        assert f.sub(x, y) == ref_add(f, x, ref_neg(f, y)), (x, y)
-        assert f.mul(x, y) == ref_mul(f, x, y), (x, y)
-    half = (f.q - 1) // 2
+        assert d.add(x, y) == t.add(x, y), (x, y)
+        assert d.sub(x, y) == t.sub(x, y), (x, y)
+        assert d.mul(x, y) == t.mul(x, y), (x, y)
     for x in singles:
-        assert f.neg(x) == ref_neg(f, x)
-        for n in (0, 1, 2, 3, f.q - 2, f.q, 12345):
-            assert f.pow(x, n) == ref_pow(f, x, n), (x, n)
-        assert f.is_square(x) == (x == 0 or ref_pow(f, x, half) == 1)
+        assert d.neg(x) == t.neg(x)
+        for n in (0, 1, 2, 3, t.q - 2, t.q, 12345):
+            assert d.pow(x, n) == t.pow(x, n), (x, n)
+        assert d.is_square(x) == t.is_square(x)
         if x:
-            assert f.inv(x) == ref_pow(f, x, f.q - 2)
-            assert f.pow(x, -3) == ref_pow(f, ref_pow(f, x, f.q - 2), 3)
+            assert d.inv(x) == t.inv(x)
+            assert d.pow(x, -3) == t.pow(x, -3)
 
 
 # Every extension field with q <= 125, plus three supplied moduli whose
@@ -327,29 +311,38 @@ SUPPLIED_ROOT_ORDER = {(5, 2): 8, (3, 3): 13, (3, 4): 20}
      (3, 4, [1, 1, 0, 2, 1])],
 )
 def test_kernel_matches_digit_reference_exhaustive(p, e, modulus):
-    f = make_field(p, e, modulus)
     if modulus is not None:
         # the root x is encoded as p
-        order = min(k for k in range(1, f.q) if ref_pow(f, p, k) == 1)
+        f = digit_kernel(p, e, modulus)
+        order = min(k for k in range(1, f.q) if f.pow(p, k) == 1)
         assert order == SUPPLIED_ROOT_ORDER[p, e]
-    els = list(range(f.q))
-    assert_kernel_matches_reference(f, [(x, y) for x in els for y in els], els)
+    els = range(p**e)
+    assert_digit_kernel_matches_table_kernel(
+        p, e, modulus, [(x, y) for x in els for y in els], els
+    )
 
 
 @pytest.mark.parametrize("p,e", [(23, 2), (3, 7), (5, 5)])
 def test_kernel_matches_digit_reference_sampled(p, e):
-    f = make_field(p, e)
-    rng = random.Random(f.q)
-    draw = lambda: rng.choice((0, 1, f.q - 1, rng.randrange(f.q)))  # noqa: E731
-    assert_kernel_matches_reference(
-        f, [(draw(), draw()) for _ in range(3000)], [draw() for _ in range(300)]
+    q = p**e
+    rng = random.Random(q)
+    draw = lambda: rng.choice((0, 1, q - 1, rng.randrange(q)))  # noqa: E731
+    assert_digit_kernel_matches_table_kernel(
+        p, e, None, [(draw(), draw()) for _ in range(3000)], [draw() for _ in range(300)]
     )
 
 
 def test_field_above_table_limit_takes_digit_path():
     f = make_field(1031, 2)
     assert f.q > _TABLE_LIMIT
-    assert f._log is None and f._square_t is None
+    assert type(f) is _DigitField and f._square_t is None
+    # no table kernel to compare with at this size: the field laws
     rng = random.Random(1031)
-    els = [rng.randrange(f.q) for _ in range(40)]
-    assert_kernel_matches_reference(f, [(x, y) for x in els[:20] for y in els[20:]], els)
+    els = [rng.randrange(1, f.q) for _ in range(40)]
+    for x, y in zip(els[:20], els[20:]):
+        z = f.add(x, y)
+        assert f.sub(z, y) == x and f.add(f.neg(x), z) == y
+        assert f.mul(x, z) == f.add(f.mul(x, x), f.mul(x, y))
+        assert f.mul(x, f.inv(x)) == 1 and f.pow(x, f.q - 1) == 1
+        assert f.mul(f.mul(x, y), f.inv(y)) == x
+        assert f.is_square(f.mul(x, x)) and f.is_square(x) == f.is_square(f.pow(x, 3))
