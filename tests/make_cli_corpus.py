@@ -71,6 +71,9 @@ VERIFY = [
     ["verify", "--prop-3mod4", "23"],
     ["verify", "--prop-3mod4", "503"],
     ["verify", "--lemma-7mod8", "503"],
+    ["verify", "--prop-3mod4", "1019"],
+    ["verify", "--prop-3mod4", "10007"],
+    ["verify", "--lemma-7mod8", "1031"],
 ]
 DOCUMENT_COMMANDS = [["check"], ["witness"], ["words", "--depth", WORDS_DEPTH], ["dot"]]
 

@@ -345,6 +345,33 @@ def test_criterion_monotone_under_subsets(p, e):
                 assert check_semigroup_irreducible(sub).irreducible
 
 
+@st.composite
+def sets_and_subsets(draw):
+    """A set S of 1-4 generators over a prime or extension field, half of
+    their b drawn from the non-squares, and a nonempty subset T of S.
+    """
+    primes = st.sampled_from(PRIMES_BELOW_200).map(lambda p: (p, 1))
+    extensions = st.sampled_from([(3, 2), (5, 2), (3, 3), (7, 2)])
+    field = cached_field(*draw(primes | extensions))
+    element = st.integers(0, field.q - 1)
+    nonsquares = [b for b in range(field.q) if not field.is_square(b)]
+    b_values = element | st.sampled_from(nonsquares)
+    gens = draw(st.lists(st.tuples(element, b_values), min_size=1, max_size=4))
+    keep = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    subset = [g for g, k in zip(gens, keep) if k] or gens[:1]
+    return GeneratorSet(field, gens), GeneratorSet(field, subset)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sets_and_subsets())
+def test_criterion_monotone_under_subsets_sampled(drawn):
+    # a composition of T's generators is one of S's: if T is reducible,
+    # so is S
+    s, t = drawn
+    if not check_semigroup_irreducible(t).irreducible:
+        assert not check_semigroup_irreducible(s).irreducible
+
+
 def test_indegree_bound_on_all_nonsquare_graphs():
     # over p = 3 (mod 4) with shift-free generators, a graph whose nodes
     # are all non-squares has at most one incoming edge per generator at

@@ -22,6 +22,7 @@ from quadsemi.search import (
     _census_quadratics,
     _census_rows,
     _reaches_square,
+    _stuck_shifts,
     census_json,
     census_pairs,
     census_tsv,
@@ -422,6 +423,142 @@ def test_reaches_square_false_on_irreducible_singletons():
             GeneratorSet(field, [MonicQuadratic(0, b)])
         ).irreducible
         assert _reaches_square((b,), p, field.is_square) is False
+
+
+# -- the singleton-first rule behind both verifications --
+
+PRIMES_5_TO_200 = [p for p in range(5, 200, 2) if all(p % d for d in range(3, p, 2))]
+
+
+def all_pairs_reach(p, is_square):
+    """The brute-force form: a walk of its own for every pair of
+    non-squares.
+    """
+    nonsquares = [b for b in range(p) if not is_square(b)]
+    return all(
+        _reaches_square(pair, p, is_square)
+        for pair in itertools.combinations(nonsquares, 2)
+    )
+
+
+def stuck_pairs_reach(p, is_square):
+    """The singleton-first form: walks only for pairs of stuck shifts."""
+    stuck = _stuck_shifts(p, is_square)
+    return all(
+        _reaches_square(pair, p, is_square)
+        for pair in itertools.combinations(stuck, 2)
+    )
+
+
+def all_singletons_reach(p, is_square):
+    """The lemma's brute-force form, one walk per non-square b."""
+    return all(is_square(b) or _reaches_square((b,), p, is_square) for b in range(p))
+
+
+def test_singleton_first_matches_all_pairs_at_small_primes():
+    # every prime 5 <= p < 200 of either residue mod 4, on its squares
+    lemma_outcomes, most_stuck = set(), 0
+    for p in PRIMES_5_TO_200:
+        is_square = make_field(p).is_square
+        stuck = _stuck_shifts(p, is_square)
+        walked = [b for b in range(p) if not is_square(b)]
+        assert stuck == [b for b in walked if not _reaches_square((b,), p, is_square)]
+        assert stuck_pairs_reach(p, is_square) is all_pairs_reach(p, is_square), p
+        if p % 4 == 3:
+            assert verify_prop_p3mod4(p) is all_pairs_reach(p, is_square)
+        if p % 8 == 7:
+            assert verify_lemma_p7mod8(p) is all_singletons_reach(p, is_square)
+        lemma_outcomes.add(not stuck)
+        most_stuck = max(most_stuck, len(stuck))
+    assert lemma_outcomes == {True, False}
+    assert most_stuck >= 2  # some prime walks pairs of stuck shifts
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 31])
+def test_singleton_first_with_no_squares(p):
+    # nothing is square: every shift is stuck and every pair walks its
+    # whole closure without finding a square
+    def never_square(v):
+        return False
+
+    assert _stuck_shifts(p, never_square) == list(range(p))
+    assert stuck_pairs_reach(p, never_square) is False
+    assert all_pairs_reach(p, never_square) is False
+
+
+def test_singleton_first_matches_all_pairs_on_drawn_squares():
+    # any subset of F_p may stand for the squares: the rule rests only on
+    # the walks of a pair containing those of its singletons
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(PRIMES_5_TO_200[:12]).flatmap(
+            lambda p: st.tuples(st.just(p), st.frozensets(st.integers(0, p - 1)))
+        )
+    )
+    def check(drawn):
+        p, squares = drawn
+        is_square = squares.__contains__
+        got = stuck_pairs_reach(p, is_square)
+        assert got is all_pairs_reach(p, is_square)
+        assert (not _stuck_shifts(p, is_square)) is all_singletons_reach(p, is_square)
+        outcomes.add(got)
+
+    check()
+    assert outcomes == {True, False}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(PRIMES_5_TO_200).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(0, p - 1),
+            st.integers(0, p - 1),
+            st.frozensets(st.integers(0, p - 1)),
+        )
+    )
+)
+def test_reaches_square_monotone_under_added_shift(drawn):
+    # the walks from -b under x^2 - b are walks of the pair {b, c} too
+    p, b, c, squares = drawn
+    if _reaches_square((b,), p, squares.__contains__):
+        assert _reaches_square((b, c), p, squares.__contains__)
+
+
+def counted_walks(monkeypatch):
+    """The shift tuple of every _reaches_square call, in call order."""
+    walks = []
+    reaches_square = search._reaches_square
+
+    def counted(shifts, p, is_square):
+        walks.append(tuple(shifts))
+        return reaches_square(shifts, p, is_square)
+
+    monkeypatch.setattr(search, "_reaches_square", counted)
+    return walks
+
+
+@pytest.mark.parametrize("p,k", [(10007, 0), (10243, 5)])
+def test_verify_prop_walk_count(monkeypatch, p, k):
+    # a work count in place of a timing gate: one walk per non-square
+    # singleton, then one per pair of the k stuck shifts and no other
+    field = make_field(p)
+    nonsquares = [b for b in range(p) if not field.is_square(b)]
+    stuck = _stuck_shifts(p, field.is_square)
+    assert len(stuck) == k
+    walks = counted_walks(monkeypatch)
+    assert verify_prop_p3mod4(p) is True
+    assert len(walks) == (p - 1) // 2 + k * (k - 1) // 2
+    assert walks == [(b,) for b in nonsquares] + list(itertools.combinations(stuck, 2))
+
+
+def test_verify_lemma_walk_count(monkeypatch):
+    field = make_field(1031)
+    walks = counted_walks(monkeypatch)
+    assert verify_lemma_p7mod8(1031) is True
+    assert walks == [(b,) for b in range(1031) if not field.is_square(b)]
 
 
 def test_shifted_pairs_escape_the_nonsquare_obstruction():
