@@ -109,7 +109,7 @@ class Field:
         return (x + y) % self.p
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return (x - y) % self.p
 
     def neg(self, x: int) -> int:
         return -x % self.p
@@ -176,6 +176,9 @@ class _DigitField(Field):
     def add(self, x: int, y: int) -> int:
         return _value_of(poly_add(self._base, self._vector(x), self._vector(y)), self.p)
 
+    def sub(self, x: int, y: int) -> int:
+        return _value_of(poly_sub(self._base, self._vector(x), self._vector(y)), self.p)
+
     def neg(self, x: int) -> int:
         return _value_of(poly_sub(self._base, [], self._vector(x)), self.p)
 
@@ -234,6 +237,17 @@ class _TableField(_DigitField):
         # x + y = g^lx (1 + g^(ly - lx)); a negative index into zech
         # reads it modulo q - 1
         z = self._zech[log[y] - lx]
+        return self._exp[lx + z] if z >= 0 else 0
+
+    def sub(self, x: int, y: int) -> int:
+        if not y:
+            return x
+        if not x:
+            return self.neg(y)
+        log, n = self._log, self.q - 1
+        lx = log[x]
+        # x - y = g^lx (1 + g^(ly + n/2 - lx)), as -1 = g^(n/2)
+        z = self._zech[(log[y] + n // 2 - lx) % n]
         return self._exp[lx + z] if z >= 0 else 0
 
     def neg(self, x: int) -> int:  # -1 = g^((q - 1) / 2)

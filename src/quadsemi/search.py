@@ -7,14 +7,14 @@ verification of the two shift-free non-existence facts at small primes:
   * p = 3 (mod 4): no pair x^2 - b_f, x^2 - b_g with b_f, b_g distinct
     non-squares yields an all-irreducible semigroup.
 
-The census reuses each swept quadratic in about q^2/2 pairs, so it
-decides its pairs on one image table per quadratic, built on first use,
-and never builds a generator set or a graph.  The verify_* functions
-need only a yes or no per shift-free set, so each set is decided by a
-walk over bare integers, one growing list without BFS levels, that
-returns at its first square node.  Both start from one walk per
-non-square singleton: a pair whose singleton reaches a square does too,
-so only pairs of two stuck singletons get a walk of their own.  The
+The census walks one closure per translation class of pairs, on image
+tables built on first use, and reads each pair's row from its class's
+walk; it never builds a generator set or a graph.  The verify_*
+functions need only a yes or no per shift-free set, so each set is
+decided by a walk over bare integers, one growing list without BFS
+levels, that returns at its first square node.  Both start from one walk
+per non-square singleton: a pair whose singleton reaches a square does
+too, so only pairs of two stuck singletons get a walk of their own.  The
 records and the family walk through the criterion module:
 single_generator_records and example_family stop at each set's first
 square, and nonsquare_pair_records reads its statistics off the whole
@@ -24,7 +24,9 @@ one of more than 2^20 pairs without a limit.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from array import array
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .criterion import (
@@ -59,9 +61,14 @@ class CensusRow(NamedTuple):
 # enumerated) and, without a limit, the number of pairs decided.
 _CENSUS_MAX_QUADRATICS = 1 << 20
 _CENSUS_MAX_PAIRS = 1 << 20
-# Image-table entries the kernel keeps at once; beyond them its cache
-# starts over, so a long limited census over a large field stays small.
+# What the census caches hold at once, so that a long limited census
+# over a large field stays small: image-table entries (q per table, a
+# list slot and often an int object each), and stored class-walk nodes
+# (4 bytes each).  Every full census within the pair budget walks each
+# class once: F_37 stores about 1.33M nodes, and F_53 under
+# irreducible-generators-only, the most, about 5.3M.
 _CENSUS_MAX_TABLE_ENTRIES = 1 << 20
+_CENSUS_MAX_WALK_NODES = 6 << 20
 
 
 def _census_quadratics(field: Field, census_filter: str) -> Sequence[int]:
@@ -75,69 +82,137 @@ def _census_quadratics(field: Field, census_filter: str) -> Sequence[int]:
     return [a * q + b for a in range(q) for b in nonsquares]
 
 
+def _walk_class(
+    tf: Sequence[int], tg: Sequence[int], sf: int, sg: int
+) -> tuple[array, tuple[int, ...]]:
+    """The closure of the two maps with image tables tf and tg from the
+    seeds sf and sg: its nodes level by level, each level in discovery
+    order, and the end of each level in that order.  A seed is a node
+    only if some walk re-enters it; expanding it again then finds
+    nothing new.
+    """
+    found: set[int] = set()
+    nodes: list[int] = []
+    ends: list[int] = []
+    level = [sf, sg]
+    while level:
+        sources, level = level, []
+        for u in sources:
+            v = tf[u]
+            if v not in found:
+                found.add(v)
+                level.append(v)
+            v = tg[u]
+            if v not in found:
+                found.add(v)
+                level.append(v)
+        nodes += level
+        ends.append(len(nodes))
+    return array("i", nodes), tuple(ends)
+
+
+class _CensusMemo:
+    """The caches of one census, each filled on first use.
+
+    quads maps a quadratic code a*q + b to ((a, b), a, a + b, whether b
+    is a square), so that its rows share one (a, b) tuple; tables maps a
+    code to its image table over F_q; walks maps a class key to the
+    _walk_class result of the class member with a_f = 0.  A new table
+    that would take the tables past _CENSUS_MAX_TABLE_ENTRIES entries
+    starts them over, and a new walk that would take the walks past
+    _CENSUS_MAX_WALK_NODES nodes starts walks and quads over.
+    """
+
+    __slots__ = ("field", "quads", "tables", "walks", "walk_nodes")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.quads: dict[int, tuple] = {}
+        self.tables: dict[int, list[int]] = {}
+        self.walks: dict[int, tuple[array, tuple[int, ...]]] = {}
+        self.walk_nodes = 0
+
+    def quad(self, code: int) -> tuple:
+        field = self.field
+        a, b = divmod(code, field.q)
+        quad = self.quads[code] = ((a, b), a, field.add(a, b), field._square_t[b])
+        return quad
+
+    def table(self, a: int, b: int) -> list[int]:
+        field = self.field
+        q = field.q
+        code = a * q + b
+        table = self.tables.get(code)
+        if table is None:
+            if (len(self.tables) + 1) * q > _CENSUS_MAX_TABLE_ENTRIES:
+                self.tables.clear()
+            if field.e == 1:
+                p = field.p
+                table = [((u - a) * (u - a) - b) % p for u in range(q)]
+            else:
+                f = MonicQuadratic(a, b)
+                table = [evaluate(field, f, u) for u in range(q)]
+            self.tables[code] = table
+        return table
+
+    def walk(self, key: int, sf: int, sg: int, d: int) -> tuple[array, tuple[int, ...]]:
+        """Walk the class of key: f = (0, sf) and g = (d, sg - d)."""
+        field = self.field
+        bg = field.sub(sg, d)
+        walk = _walk_class(self.table(0, sf), self.table(d, bg), field.neg(sf), field.neg(bg))
+        nodes = len(walk[0])
+        if self.walk_nodes + nodes > _CENSUS_MAX_WALK_NODES:
+            self.quads.clear()
+            self.walks.clear()
+            self.walk_nodes = 0
+        self.walk_nodes += nodes
+        self.walks[key] = walk
+        return walk
+
+
 def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[CensusRow]:
     """The census row of each pair (f, g) of quadratic codes a*q + b,
-    decided on image tables built once per quadratic on first use.
+    read from one walk per translation class.
+
+    Conjugating by u -> u + c takes (x - a)^2 - b to (x - a - c)^2 -
+    (b - c), and the seeds and every BFS level of a pair's closure to
+    their translates.  So the closure of (f, g), up to translation,
+    depends only on the class key (a_f + b_f, a_g + b_g, a_g - a_f): it
+    is the closure of the class member with a_f = 0, moved by a_f.
 
     Each row equals what verdict_from_graph(reachable_subgraph(...))
-    gives for GeneratorSet(field, [f, g]), walking in the same order
-    (sorted seeds, discovery order, f before g): reach_size counts the
-    whole closure, and witness_len is 1 for a square b, otherwise the
-    level of the first square node plus one.  That is the length of
-    witness_word's word, a shortest walk to that node plus an innermost
-    letter.  Needs the field's squareness table (q <= 2^20).
+    gives for GeneratorSet(field, [f, g]): reach_size counts the whole
+    closure, and witness_len is 1 for a square b, otherwise the level of
+    the first square node plus one.  That is the length of witness_word's
+    word, a shortest walk to that node plus an innermost letter.  Needs
+    the field's squareness table (q <= 2^20).
     """
     q = field.q
     square = field._square_t
-    prime = field.p if field.e == 1 else 0
-    quads: dict[int, tuple] = {}  # code -> ((a, b), image table, -b)
-    max_quads = _CENSUS_MAX_TABLE_ENTRIES // q
+    memo = _CensusMemo(field)
+    quads, walks = memo.quads, memo.walks
+    shift = None
+    new_row = tuple.__new__  # CensusRow(...) would run a Python-level __new__
     for cf, cg in pairs:
-        if cf not in quads or cg not in quads:
-            if len(quads) + 2 > max_quads:
-                quads.clear()
-            for code in (cf, cg):
-                if code in quads:
-                    continue
-                a, b = divmod(code, q)
-                if prime:
-                    table = [((u - a) * (u - a) - b) % prime for u in range(q)]
-                else:
-                    f = MonicQuadratic(a, b)
-                    table = [evaluate(field, f, u) for u in range(q)]
-                quads[code] = ((a, b), table, field.neg(b))
-        (f, tf, sf), (g, tg, sg) = quads[cf], quads[cg]
-
-        # the closure, level by level from the sorted seeds; the first
-        # square node's level is its shortest walk from a seed
-        lo, hi = (sf, sg) if sf < sg else (sg, sf)
-        level = [lo, hi] if lo != hi else [lo]
-        found: set[int] = set()
-        depth = square_depth = 0
-        while level:
-            depth += 1
-            sources, level = level, []
-            for u in sources:
-                v = tf[u]
-                if v not in found:
-                    found.add(v)
-                    if v != lo and v != hi:
-                        level.append(v)
-                    if not square_depth and square[v]:
-                        square_depth = depth
-                v = tg[u]
-                if v not in found:
-                    found.add(v)
-                    if v != lo and v != hi:
-                        level.append(v)
-                    if not square_depth and square[v]:
-                        square_depth = depth
-
-        if square[f[1]] or square[g[1]]:
+        f, af, sf, square_bf = quads.get(cf) or memo.quad(cf)
+        g, ag, sg, square_bg = quads.get(cg) or memo.quad(cg)
+        if af != shift:
+            # per a_f: whether v + a_f is a square, and a - a_f
+            shift = af
+            moved_square = bytes([square[field.add(v, af)] for v in range(q)])
+            minus = [field.sub(a, af) for a in range(q)]
+        d = minus[ag]
+        key = (sf * q + sg) * q + d
+        nodes, ends = walks.get(key) or memo.walk(key, sf, sg, d)
+        if square_bf or square_bg:
             witness_len = 1
         else:
-            witness_len = square_depth + 1 if square_depth else 0
-        yield CensusRow(q, f, g, witness_len == 0, witness_len, len(found))
+            witness_len = 0
+            for i, v in enumerate(nodes):
+                if moved_square[v]:
+                    witness_len = bisect.bisect_right(ends, i) + 2
+                    break
+        yield new_row(CensusRow, (q, f, g, witness_len == 0, witness_len, len(nodes)))
 
 
 def _check_census_order(p: int, e: int) -> None:

@@ -60,6 +60,9 @@ CENSUS = [
     ["census", "--p", "11", "--format", "json"],
     ["census", "--p", "5", "--e", "2", "--limit", "500"],
     ["census", "--p", "3", "--e", "3", "--filter", "no-linear-term"],
+    ["census", "--p", "5", "--e", "2"],
+    ["census", "--p", "13", "--filter", "irreducible-generators-only"],
+    ["census", "--p", "1021", "--limit", "40"],
 ]
 VERIFY = [
     ["verify", "--lemma-7mod8", "7"],

@@ -183,6 +183,137 @@ def test_census_kernel_cache_start_over(monkeypatch):
     assert census_pairs(field) == full
 
 
+def counted_class_walks(monkeypatch):
+    """The seeds of every _walk_class call, in call order."""
+    walks = []
+    walk_class = search._walk_class
+
+    def counted(tf, tg, sf, sg):
+        walks.append((sf, sg))
+        return walk_class(tf, tg, sf, sg)
+
+    monkeypatch.setattr(search, "_walk_class", counted)
+    return walks
+
+
+def class_keys(field, pairs):
+    """The distinct (a_f + b_f, a_g + b_g, a_g - a_f) over pairs of
+    quadratic codes a*q + b: a pair's closure up to translation.
+    """
+    keys = set()
+    for f, g in pairs:
+        (af, bf), (ag, bg) = divmod(f, field.q), divmod(g, field.q)
+        keys.add((field.add(af, bf), field.add(ag, bg), field.sub(ag, af)))
+    return keys
+
+
+@pytest.mark.parametrize("p,e,classes", [(11, 1, 1320), (3, 2, 720)])
+def test_census_walks_once_per_translation_class(monkeypatch, p, e, classes):
+    # a work count in place of a timing gate: one walk per class key
+    # (F_11: 1,320 for 7,260 pairs), not one per pair
+    field = make_field(p, e)
+    walks = counted_class_walks(monkeypatch)
+    for census_filter in CENSUS_FILTERS:
+        pairs = list(itertools.combinations(_census_quadratics(field, census_filter), 2))
+        keys = class_keys(field, pairs)
+        if census_filter == "all":
+            assert len(keys) == classes
+        walks.clear()
+        assert len(census_pairs(field, census_filter)) == len(pairs)
+        assert len(walks) == len(keys), census_filter
+
+
+def recorded_memos(monkeypatch):
+    """Every census memo made, and what its caches hold at each class
+    walk: (image-table entries, stored walk nodes).
+    """
+    memos, held = [], []
+
+    class Recorded(search._CensusMemo):
+        __slots__ = ()
+
+        def __init__(self, field):
+            super().__init__(field)
+            memos.append(self)
+
+    walk_class = search._walk_class
+
+    def checked(tf, tg, sf, sg):
+        held.append(holding(memos[-1]))
+        return walk_class(tf, tg, sf, sg)
+
+    monkeypatch.setattr(search, "_CensusMemo", Recorded)
+    monkeypatch.setattr(search, "_walk_class", checked)
+    return memos, held
+
+
+def holding(memo):
+    """(image-table entries, stored walk nodes) a census memo holds."""
+    tables = sum(map(len, memo.tables.values()))
+    return tables, sum(len(nodes) for nodes, _ in memo.walks.values())
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (3, 2)])
+def test_census_cache_eviction_keeps_rows_within_budget(monkeypatch, p, e):
+    # room for three tables and two walks or more: tables and walks
+    # both start over many times, and no row may change
+    field = make_field(p, e)
+    full = census_pairs(field)
+    classes = len(class_keys(field, itertools.combinations(range(field.q**2), 2)))
+    monkeypatch.setattr(search, "_CENSUS_MAX_TABLE_ENTRIES", 3 * field.q)
+    monkeypatch.setattr(search, "_CENSUS_MAX_WALK_NODES", 2 * field.q)
+    memos, held = recorded_memos(monkeypatch)
+    assert census_pairs(field) == full
+    (memo,) = memos
+    held.append(holding(memo))
+    assert max(tables for tables, _ in held) <= 3 * field.q
+    assert max(nodes for _, nodes in held) <= 2 * field.q
+    assert len(held) - 1 > classes  # evicted walks were walked again
+    for i in (0, 1):  # each cache started over at least once
+        assert any(b[i] < a[i] for a, b in zip(held, held[1:]))
+
+
+TRANSLATION_FIELDS = [
+    (p, 1) for p in range(3, 60, 2) if all(p % d for d in range(3, p, 2))
+] + [(3, 2), (5, 2), (3, 3)]
+
+
+def bfs_depths(graph):
+    """node -> BFS depth, read through parent: 1 from a seed, else one
+    more than the depth of the node that discovered it.
+    """
+    seeds = set(graph.seeds)
+    depth = {}
+    for v in graph.nodes:  # discovery order: a predecessor comes first
+        u, _ = graph.parent[v]
+        depth[v] = 1 if u in seeds else depth[u] + 1
+    return depth
+
+
+@st.composite
+def translated_sets(draw):
+    """A field, one to three generators (a, b) and a shift c."""
+    field = cached_field(*draw(st.sampled_from(TRANSLATION_FIELDS)))
+    element = st.integers(0, field.q - 1)
+    gens = draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+    return field, gens, draw(element)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(translated_sets())
+def test_closure_translation_equivariant(drawn):
+    # u -> u + c takes (x - a)^2 - b to (x - a - c)^2 - (b - c), and the
+    # closure to its translate, level by level; sets, not order, since
+    # the seeds may sort differently once moved
+    field, gens, c = drawn
+    graph = reachable_subgraph(GeneratorSet(field, [MonicQuadratic(a, b) for a, b in gens]))
+    moved = reachable_subgraph(
+        GeneratorSet(field, [MonicQuadratic(field.add(a, c), field.sub(b, c)) for a, b in gens])
+    )
+    assert set(moved.seeds) == {field.add(s, c) for s in graph.seeds}
+    assert bfs_depths(moved) == {field.add(v, c): k for v, k in bfs_depths(graph).items()}
+
+
 @pytest.mark.parametrize("p,e", [(1021, 1), (31, 2)])
 def test_census_limit_near_the_q_bound_is_fast(p, e):
     # q^2 close to 2^20: a few rows build only the tables they read
