@@ -91,19 +91,14 @@ class ReachGraph(NamedTuple):
         """(source, generator index, image) per map evaluation of the
         walk, in walk order, evaluated again with the walk's kernel.
         """
-        prime, maps, sub, mul = _map_kernel(self.generators)
+        prime, maps = _generator_maps(self.generators)
         left = self.expanded
         for u in self.sources():
-            for i, a, b in maps:
+            for i, a, b, square_map in maps:
                 if not left:
                     return
                 left -= 1
-                # the arithmetic of reachable_subgraph: keep the two in step
-                if prime:
-                    yield u, i, ((u - a) * (u - a) - b) % prime
-                else:
-                    t = sub(u, a)
-                    yield u, i, sub(mul(t, t), b)
+                yield u, i, ((u - a) * (u - a) - b) % prime if prime else square_map(u)
 
 
 class _ParentView(Mapping):
@@ -149,16 +144,15 @@ class _ParentView(Mapping):
         return len(self._nodes)
 
 
-def _map_kernel(generators: GeneratorSet):
-    """(prime, maps, sub, mul) for evaluating the generator maps: over a
-    prime field (prime > 0) each map is inlined as integer arithmetic,
-    otherwise it runs on the field's sub and mul.  maps holds (generator
-    index, a, b) in input order.
+def _generator_maps(generators: GeneratorSet):
+    """(prime, maps): maps holds (generator index, a, b, the kernel's
+    map u -> (u - a)^2 - b) in input order.  Over a prime field prime is
+    p, and the walk and its replay inline the prime kernel's map, where
+    a call per evaluation costs measurable time; otherwise it is 0.
     """
     field = generators.field
-    prime = field.p if field.e == 1 else 0
-    maps = [(i, g.a, g.b) for i, g in enumerate(generators.gens)]
-    return prime, maps, field.sub, field.mul
+    maps = [(i, a, b, field._square_map(a, b)) for i, (a, b) in enumerate(generators.gens)]
+    return field.p if field._base is None else 0, maps
 
 
 def reachable_subgraph(
@@ -176,7 +170,6 @@ def reachable_subgraph(
     discovery order; larger fields keep a dict, whose keys keep it.
     """
     field = generators.field
-    gens = generators.gens
     seeds = distinguished_set(generators)
     seed_set = set(seeds)
     sources: list[int] = list(seeds)
@@ -185,18 +178,13 @@ def reachable_subgraph(
     found: list[int] = []  # the nodes in discovery order, table fields only
     first_square: tuple[int, int, int] | None = None
     expanded = 0
-    prime, maps, sub, mul = _map_kernel(generators)
+    prime, maps = _generator_maps(generators)
     is_square = field.is_square
 
-    if not (_stop_at_square and any(is_square(g.b) for g in gens)):
+    if not (_stop_at_square and any(is_square(g.b) for g in generators.gens)):
         for pos, u in enumerate(sources):  # grows while it is walked
-            for i, a, b in maps:
-                # ReachGraph.iter_edges repeats this: keep the two in step
-                if prime:
-                    v = ((u - a) * (u - a) - b) % prime
-                else:
-                    t = sub(u, a)
-                    v = sub(mul(t, t), b)
+            for i, a, b, square_map in maps:
+                v = ((u - a) * (u - a) - b) % prime if prime else square_map(u)
                 if table:
                     if pred[v] >= 0:
                         continue
@@ -243,10 +231,11 @@ def _first_chain_failure(generators: GeneratorSet, word: tuple[int, ...]) -> int
     gens = generators.gens
     if field.is_square(gens[word[0]].b):
         return 0
+    maps = [field._square_map(a, b) for a, b in gens]
     for k in range(1, len(word)):
         x = field.neg(gens[word[k]].b)
         for idx in reversed(word[:k]):
-            x = evaluate(field, gens[idx], x)
+            x = maps[idx](x)
         if field.is_square(x):
             return k
     return None

@@ -13,7 +13,10 @@ element g (antilogarithms, logarithms and Zech logarithms log(1 + g^d)),
 so an operation is one or two lookups; above that, the dense layer of
 ``polys`` over F_p on digit vectors, modulo the defining polynomial.
 The table kernel extends the digit kernel, whose powers find g.  The
-tests check the digit kernel against the table kernel.
+tests check the digit kernel against the table kernel.  Each kernel
+also gives the generator map u -> (u - a)^2 - b as one callable,
+``_square_map(a, b)``, which every map evaluation outside the prime
+walk's inlined loop goes through.
 
 Fields of even characteristic are rejected: the quadratic-residue
 machinery this package is built around needs 2 to be invertible.
@@ -130,6 +133,11 @@ class Field:
     def _pow(self, x: int, n: int) -> int:
         return pow(x, n, self.p)
 
+    def _square_map(self, a: int, b: int):
+        """The generator map u -> (u - a)^2 - b, as a callable."""
+        p = self.p
+        return lambda u: ((u - a) * (u - a) - b) % p
+
     def is_square(self, x: int) -> bool:
         """Quadratic-residue test; 0 counts as a square (0 = 0^2)."""
         if self._square_t is not None:
@@ -188,6 +196,15 @@ class _DigitField(Field):
 
     def _pow(self, x: int, n: int) -> int:
         return _value_of(poly_pow_mod(self._base, self._vector(x), n, self.modulus), self.p)
+
+    def _square_map(self, a: int, b: int):
+        sub, mul = self.sub, self.mul
+
+        def square_map(u: int) -> int:
+            t = sub(u, a)
+            return sub(mul(t, t), b)
+
+        return square_map
 
 
 class _TableField(_DigitField):
@@ -260,6 +277,18 @@ class _TableField(_DigitField):
         if not x:
             return 0 if n else 1
         return self._exp[self._log[x] * n % (self.q - 1)]
+
+    def _square_map(self, a: int, b: int):
+        # two adds of the held -a and -b; t^2 is one lookup, as exp is
+        # stored twice over
+        add, exp, log = self.add, self._exp, self._log
+        minus_a, minus_b = self.neg(a), self.neg(b)
+
+        def square_map(u: int) -> int:
+            t = add(u, minus_a)
+            return add(exp[2 * log[t]], minus_b) if t else minus_b
+
+        return square_map
 
 
 def _find_modulus(prime_field: Field, e: int) -> tuple[int, ...]:

@@ -43,8 +43,8 @@ def expand(field: Field, f: MonicQuadratic) -> tuple[int, int]:
 
 
 def evaluate(field: Field, f: MonicQuadratic, x: int) -> int:
-    t = field.sub(x, f.a)
-    return field.sub(field.mul(t, t), f.b)
+    """f(x), by the field kernel's map for f."""
+    return field._square_map(f.a, f.b)(x)
 
 
 class GeneratorSet:

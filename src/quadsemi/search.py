@@ -36,7 +36,7 @@ from .criterion import (
     verdict_from_graph,
 )
 from .field import Field, make_field
-from .quadratic import GeneratorSet, MonicQuadratic, evaluate
+from .quadratic import GeneratorSet, MonicQuadratic
 
 CENSUS_FILTERS = ("all", "irreducible-generators-only", "no-linear-term")
 
@@ -146,13 +146,7 @@ class _CensusMemo:
         if table is None:
             if (len(self.tables) + 1) * q > _CENSUS_MAX_TABLE_ENTRIES:
                 self.tables.clear()
-            if field.e == 1:
-                p = field.p
-                table = [((u - a) * (u - a) - b) % p for u in range(q)]
-            else:
-                f = MonicQuadratic(a, b)
-                table = [evaluate(field, f, u) for u in range(q)]
-            self.tables[code] = table
+            table = self.tables[code] = list(map(field._square_map(a, b), range(q)))
         return table
 
     def walk(self, key: int, sf: int, sg: int, d: int) -> tuple[array, tuple[int, ...]]:

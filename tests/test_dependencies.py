@@ -81,6 +81,7 @@ DELETED = [
     (ReachGraph, "targets"),
     (ReachGraph, "pred"),
     (quadsemi.criterion, "_PredView"),
+    (quadsemi.criterion, "_map_kernel"),
     (quadsemi.field, "_digit_mulmod"),
     (quadsemi.field, "_digits_of"),
 ]

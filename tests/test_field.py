@@ -19,7 +19,7 @@ from quadsemi.field import (
     is_prime,
     make_field,
 )
-from quadsemi.quadratic import GeneratorSet, MonicQuadratic
+from quadsemi.quadratic import GeneratorSet, MonicQuadratic, evaluate
 
 # Squares (including 0) in small prime fields, frozen from direct
 # enumeration of x^2 over each field.
@@ -346,3 +346,38 @@ def test_field_above_table_limit_takes_digit_path():
         assert f.mul(x, f.inv(x)) == 1 and f.pow(x, f.q - 1) == 1
         assert f.mul(f.mul(x, y), f.inv(y)) == x
         assert f.is_square(f.mul(x, x)) and f.is_square(x) == f.is_square(f.pow(x, 3))
+
+
+def reference_square_map(field, a, b, u):
+    """(u - a)^2 - b composed from the kernel's own sub and mul."""
+    t = field.sub(u, a)
+    return field.sub(field.mul(t, t), b)
+
+
+# The fields of test_kernel_matches_digit_reference_exhaustive, and F_3
+# to F_13.
+SQUARE_MAP_FIELDS = [(p, 1, None) for p in (3, 5, 7, 11, 13)] + [
+    (3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (3, 4, None),
+    (11, 2, None), (5, 3, None), (5, 2, [2, 0, 1]), (3, 3, [2, 0, 1, 1]),
+    (3, 4, [1, 1, 0, 2, 1]),
+]
+
+
+@pytest.mark.parametrize("p,e,modulus", SQUARE_MAP_FIELDS)
+def test_square_map_matches_sub_and_mul_on_every_element(p, e, modulus):
+    # every kernel's map, on every u, for a and b among 0, 1, q - 1 and
+    # two drawn values; the table kernel's also equals the digit kernel's
+    field = make_field(p, e, modulus)
+    kernels = [field] if e == 1 else [field, digit_kernel(p, e, modulus)]
+    q = field.q
+    rng = random.Random(q)
+    values = sorted({0, 1, q - 1, rng.randrange(q), rng.randrange(q)})
+    for a, b in itertools.product(values, repeat=2):
+        images = []
+        for kernel in kernels:
+            square_map = kernel._square_map(a, b)
+            image = [square_map(u) for u in range(q)]
+            assert image == [reference_square_map(kernel, a, b, u) for u in range(q)], (a, b)
+            images.append(image)
+        assert images[1:] == images[:-1], (a, b)
+        assert images[0] == [evaluate(field, MonicQuadratic(a, b), u) for u in range(q)]
