@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lemma-7mod8",
         type=int,
         metavar="P",
-        help="check that no single x^2 - b works over F_P (P = 7 mod 8)",
+        help="check that no single x^2 - b works over F_P (P = 7 mod 8, P <= 2^20)",
     )
     which.add_argument(
         "--prop-3mod4",
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help=(
             "check that no shift-free pair of distinct non-squares works "
-            "over F_P (P = 3 mod 4)"
+            "over F_P (P = 3 mod 4, P <= 2^20)"
         ),
     )
     p_verify.set_defaults(func=cmd_verify)

@@ -19,7 +19,8 @@ records and the family walk through the criterion module:
 single_generator_records and example_family stop at each set's first
 square, and nonsquare_pair_records reads its statistics off the whole
 closure.  A census over a field with q^2 > 2^20 is refused, and so is
-one of more than 2^20 pairs without a limit.
+one of more than 2^20 pairs without a limit; the verify functions and
+the records refuse p > 2^20.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .criterion import (
     reachable_subgraph,
     verdict_from_graph,
 )
-from .field import Field, make_field
+from .field import _TABLE_LIMIT, Field, make_field
 from .quadratic import GeneratorSet, MonicQuadratic
 
 CENSUS_FILTERS = ("all", "irreducible-generators-only", "no-linear-term")
@@ -63,9 +64,10 @@ _CENSUS_MAX_QUADRATICS = 1 << 20
 _CENSUS_MAX_PAIRS = 1 << 20
 # What the census caches hold at once, so that a long limited census
 # over a large field stays small: image-table entries (q per table, a
-# list slot and often an int object each), and stored class-walk nodes
-# (4 bytes each).  Every full census within the pair budget walks each
-# class once: F_37 stores about 1.33M nodes, and F_53 under
+# list slot and often an int object each), and class-walk nodes (4 bytes
+# each when kept; a walk that is not kept counts too, so that quads
+# starts over as well).  Every full census within the pair budget walks
+# each class once: F_37 walks about 1.33M nodes, and F_53 under
 # irreducible-generators-only, the most, about 5.3M.
 _CENSUS_MAX_TABLE_ENTRIES = 1 << 20
 _CENSUS_MAX_WALK_NODES = 6 << 20
@@ -117,9 +119,10 @@ class _CensusMemo:
     quads maps a quadratic code a*q + b to ((a, b), a, a + b, whether b
     is a square), so that its rows share one (a, b) tuple; tables maps a
     code to its image table over F_q; walks maps a class key to the
-    _walk_class result of the class member with a_f = 0.  A new table
-    that would take the tables past _CENSUS_MAX_TABLE_ENTRIES entries
-    starts them over, and a new walk that would take the walks past
+    _walk_class result of the class member with a_f = 0, for the walks
+    asked to be kept.  A new table that would take the tables past
+    _CENSUS_MAX_TABLE_ENTRIES entries starts them over, and a new walk,
+    kept or not, that would take the walks made past
     _CENSUS_MAX_WALK_NODES nodes starts walks and quads over.
     """
 
@@ -149,7 +152,9 @@ class _CensusMemo:
             table = self.tables[code] = list(map(field._square_map(a, b), range(q)))
         return table
 
-    def walk(self, key: int, sf: int, sg: int, d: int) -> tuple[array, tuple[int, ...]]:
+    def walk(
+        self, key: int, sf: int, sg: int, d: int, keep: bool
+    ) -> tuple[array, tuple[int, ...]]:
         """Walk the class of key: f = (0, sf) and g = (d, sg - d)."""
         field = self.field
         bg = field.sub(sg, d)
@@ -160,11 +165,14 @@ class _CensusMemo:
             self.walks.clear()
             self.walk_nodes = 0
         self.walk_nodes += nodes
-        self.walks[key] = walk
+        if keep:
+            self.walks[key] = walk
         return walk
 
 
-def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[CensusRow]:
+def _census_rows(
+    field: Field, pairs: Iterable[tuple[int, int]], keep_below: int = 0
+) -> Iterator[CensusRow]:
     """The census row of each pair (f, g) of quadratic codes a*q + b,
     read from one walk per translation class.
 
@@ -180,6 +188,11 @@ def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[Cen
     the first square node plus one.  That is the length of witness_word's
     word, a shortest walk to that node plus an innermost letter.  Needs
     the field's squareness table (q <= 2^20).
+
+    A census gives its pairs in runs of equal a_f, and within a run the
+    class key fixes the pair, so only a later run reads a walk again:
+    a walk is kept only for a pair with a_f < keep_below, the a_f of the
+    last pair (the default keeps none).
     """
     q = field.q
     square = field._square_t
@@ -197,7 +210,7 @@ def _census_rows(field: Field, pairs: Iterable[tuple[int, int]]) -> Iterator[Cen
             minus = [field.sub(a, af) for a in range(q)]
         d = minus[ag]
         key = (sf * q + sg) * q + d
-        nodes, ends = walks.get(key) or memo.walk(key, sf, sg, d)
+        nodes, ends = walks.get(key) or memo.walk(key, sf, sg, d, af < keep_below)
         if square_bf or square_bg:
             witness_len = 1
         else:
@@ -249,7 +262,14 @@ def census_pairs(
             f"a census of {pairs} pairs is more than "
             f"{_CENSUS_MAX_PAIRS}; set --limit to decide only the first pairs"
         )
-    return list(_census_rows(field, itertools.islice(itertools.combinations(quads, 2), limit)))
+    decided = pairs if limit is None else min(limit, pairs)
+    # the pool index of the last decided pair's first member
+    first, left = 0, decided
+    while left > len(quads) - 1 - first:
+        left -= len(quads) - 1 - first
+        first += 1
+    rows = itertools.islice(itertools.combinations(quads, 2), decided)
+    return list(_census_rows(field, rows, quads[first] // field.q))
 
 
 def example_family(field: Field) -> list[int]:
@@ -281,6 +301,10 @@ def example_family(field: Field) -> list[int]:
 
 
 def _checked_prime_field(p: int, residue: int, modulus: int) -> Field:
+    # above the table limit each squareness test is a pow, and a sweep
+    # makes O(p) walks of up to p nodes each
+    if p > _TABLE_LIMIT:
+        raise ValueError(f"p = {p} is above the verify bound 2^20 = {_TABLE_LIMIT}")
     if p % modulus != residue:
         raise ValueError(
             f"requires a prime p = {residue} (mod {modulus}); "

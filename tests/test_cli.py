@@ -384,6 +384,17 @@ def test_verify_wrong_residue_reports_expected_class(capsys):
     assert "3 (mod 4)" in err
 
 
+def test_verify_refuses_p_above_the_bound(capsys):
+    # 1048583 is the first prime above 2^20, and both 3 (mod 4) and
+    # 7 (mod 8): refused before the field or any walk is built
+    for mode in ("--lemma-7mod8", "--prop-3mod4"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["verify", mode, "1048583"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "2^20" in err and "Traceback" not in err
+
+
 def test_verify_requires_exactly_one_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])

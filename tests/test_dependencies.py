@@ -2,14 +2,16 @@
 ``src/quadsemi`` names the standard library or the package itself.  And
 importing the CLI loads every package module eagerly and no
 ``dataclasses``.  The public surface is pinned, and so are the kernel
-make_field picks and the names the benchmark's tracer in
-``bench/spans.py`` reads from the package.
+make_field picks, the names the benchmark's tracer in
+``bench/spans.py`` reads from the package, and the target of the
+console script.
 """
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,3 +185,13 @@ def test_names_the_benchmark_reads_resolve():
     assert {u: graph.parent[u][0] for u in graph.nodes} == pred
     # and the oracle workload reads the reducible tally of each length
     assert "reducible_per_length" in CrosscheckReport._fields
+
+
+def test_console_script_target_resolves():
+    # pyproject.toml is read as text, as Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^(\S+) = "([\w.]+:\w+)"$', section, re.MULTILINE))
+    assert scripts == {"quadsemi": "quadsemi.cli:entry"}
+    module, function = scripts["quadsemi"].split(":")
+    assert callable(getattr(importlib.import_module(module), function))

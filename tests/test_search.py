@@ -21,6 +21,7 @@ from quadsemi.search import (
     CENSUS_FILTERS,
     _census_quadratics,
     _census_rows,
+    _checked_prime_field,
     _reaches_square,
     _stuck_shifts,
     census_json,
@@ -273,6 +274,36 @@ def test_census_cache_eviction_keeps_rows_within_budget(monkeypatch, p, e):
         assert any(b[i] < a[i] for a, b in zip(held, held[1:]))
 
 
+def test_census_keeps_no_walk_that_no_later_pair_reads(monkeypatch):
+    # one run of equal a_f, where each class key names one pair: the
+    # shift-free census over F_31, and the first 2,000 pairs over F_101,
+    # all with a_f = 0; no class walk is kept, and the rows still equal
+    # the whole-closure reference
+    memos, held = recorded_memos(monkeypatch)
+    field = make_field(31)
+    rows = census_pairs(field, "no-linear-term")
+    assert len(rows) == 31 * 30 // 2 and len(held) == len(rows)
+    census_pairs(make_field(101), limit=2000)
+    assert len(memos) == 2 and len(held) == len(rows) + 2000
+    assert [nodes for _, nodes in held] == [0] * len(held)
+    assert not any(memo.walks for memo in memos)
+    for r in rows:
+        f, g = r.first[0] * 31 + r.first[1], r.second[0] * 31 + r.second[1]
+        assert (r.irreducible, r.witness_len, r.reach_size) == reference_row(field, f, g)
+
+
+def test_census_keeps_walks_for_later_runs(monkeypatch):
+    # the first 2,000 pairs over F_11 reach a_f = 1: the walk of each
+    # pair with a_f = 0 is kept (each is a class of its own there), and
+    # none from the run of the last pair
+    memos, _ = recorded_memos(monkeypatch)
+    field = make_field(11)
+    rows = census_pairs(field, limit=2000)
+    assert rows[-1].first[0] == 1 > rows[0].first[0]
+    assert len(memos[0].walks) == sum(r.first[0] == 0 for r in rows) == 1265
+    assert census_pairs(field)[:2000] == rows
+
+
 TRANSLATION_FIELDS = [
     (p, 1) for p in range(3, 60, 2) if all(p % d for d in range(3, p, 2))
 ] + [(3, 2), (5, 2), (3, 3)]
@@ -493,6 +524,26 @@ def test_verify_nonsquare_pairs_wrong_residue():
         verify_prop_p3mod4(13)
     with pytest.raises(ValueError):
         verify_prop_p3mod4(15)  # right residue, not prime
+
+
+def test_verify_and_records_refuse_p_above_the_bound_before_building_it(monkeypatch):
+    # 1048583, the first prime above 2^20, is 3 (mod 4) and 7 (mod 8)
+    def unbuilt(p, e=1, modulus=None):
+        raise AssertionError("the field was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "make_field", unbuilt)
+        for sweep in (
+            verify_lemma_p7mod8,
+            verify_prop_p3mod4,
+            single_generator_records,
+            nonsquare_pair_records,
+        ):
+            with pytest.raises(ValueError, match=r"2\^20 = 1048576"):
+                sweep(1048583)
+    # the primes just under the bound of each residue class pass the check
+    assert _checked_prime_field(1048571, 3, 4).p == 1048571
+    assert _checked_prime_field(1048559, 7, 8).p == 1048559
 
 
 # -- the verdict-only walk behind both verifications --
