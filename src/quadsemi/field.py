@@ -15,8 +15,8 @@ so an operation is one or two lookups; above that, the dense layer of
 The table kernel extends the digit kernel, whose powers find g.  The
 tests check the digit kernel against the table kernel.  Each kernel
 also gives the generator map u -> (u - a)^2 - b as one callable,
-``_square_map(a, b)``, which every map evaluation outside the prime
-walk's inlined loop goes through.
+``_square_map(a, b)``, which every map evaluation goes through except
+in the closure walk and its replay over a prime field, which inline it.
 
 Fields of even characteristic are rejected: the quadratic-residue
 machinery this package is built around needs 2 to be invertible.

@@ -302,6 +302,12 @@ def test_census_keeps_walks_for_later_runs(monkeypatch):
     assert rows[-1].first[0] == 1 > rows[0].first[0]
     assert len(memos[0].walks) == sum(r.first[0] == 0 for r in rows) == 1265
     assert census_pairs(field)[:2000] == rows
+    # at the edge of the first run: its last pair keeps nothing, and one
+    # pair more keeps the whole run
+    for limit, kept in ((1265, 0), (1266, 1265)):
+        memos.clear()
+        census_pairs(field, limit=limit)
+        assert len(memos[0].walks) == kept, limit
 
 
 TRANSLATION_FIELDS = [
