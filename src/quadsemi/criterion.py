@@ -44,22 +44,23 @@ class ReachGraph(NamedTuple):
     distinguished set by paths of positive length, as far as explored.
 
     nodes lists elements in BFS discovery order; a distinguished value
-    appears among the nodes only if some walk re-enters it.  parent is a
-    read-only mapping, iterated in discovery order, from each node v to
-    (u, i): u is the source that first discovered v, so its chain back to
-    a seed is a shortest walk, and i is the generator index that took u
-    to v, found again by evaluating the maps.  first_square is the edge
-    that discovered the earliest square node, or None when every
-    explored node is a non-square.  expanded counts the walk's map
-    evaluations: one per expanded source (in sources() order) and
-    generator, fewer on the last source when the walk stopped at a
-    square.  The images themselves are not stored; iter_edges evaluates
-    the maps again.
+    appears among the nodes only if some walk re-enters it.  It is the
+    walk's own store of them: an array of C ints when q <= _TABLE_LIMIT,
+    a tuple above.  parent is a read-only mapping, iterated in discovery
+    order, from each node v to (u, i): u is the source that first
+    discovered v, so its chain back to a seed is a shortest walk, and i
+    is the generator index that took u to v, found again by evaluating
+    the maps.  first_square is the edge that discovered the earliest
+    square node, or None when every explored node is a non-square.
+    expanded counts the walk's map evaluations: one per expanded source
+    (in sources() order) and generator, fewer on the last source when
+    the walk stopped at a square.  The images themselves are not stored;
+    iter_edges evaluates the maps again.
     """
 
     generators: GeneratorSet
     seeds: tuple[int, ...]
-    nodes: tuple[int, ...]
+    nodes: Sequence[int]
     parent: Mapping[int, tuple[int, int]]
     first_square: tuple[int, int, int] | None
     expanded: int
@@ -68,7 +69,7 @@ class ReachGraph(NamedTuple):
         # parent is left out: a large closure has millions of entries
         return (
             f"ReachGraph(generators={self.generators!r}, seeds={self.seeds!r}, "
-            f"nodes={self.nodes!r}, first_square={self.first_square!r})"
+            f"nodes={tuple(self.nodes)!r}, first_square={self.first_square!r})"
         )
 
     @property
@@ -115,7 +116,7 @@ class _ParentView(Mapping):
     def __init__(
         self,
         generators: GeneratorSet,
-        nodes: tuple[int, ...],
+        nodes: Sequence[int],
         store: array | dict[int, int],
     ):
         self._generators = generators
@@ -166,16 +167,18 @@ def reachable_subgraph(
     when some b is a square and otherwise ends at the first square node.
 
     When q <= _TABLE_LIMIT the predecessors go into an array of q C ints,
-    -1 where nothing is found yet, and a list of the nodes keeps the
-    discovery order; larger fields keep a dict, whose keys keep it.
+    -1 where nothing is found yet, and an array of the nodes keeps the
+    discovery order and becomes the graph's nodes; larger fields keep a
+    dict, whose keys keep it.
     """
     field = generators.field
     seeds = distinguished_set(generators)
     seed_set = set(seeds)
-    sources: list[int] = list(seeds)
     table = field.q <= _TABLE_LIMIT
+    # C ints on table fields: a boxed int and its list slot take 40 B
+    sources = array("i", seeds) if table else list(seeds)
     pred = array("i", [-1]) * field.q if table else {}
-    found: list[int] = []  # the nodes in discovery order, table fields only
+    found = array("i")  # the nodes in discovery order, table fields only
     first_square: tuple[int, int, int] | None = None
     expanded = 0
     prime, maps = _generator_maps(generators)
@@ -203,9 +206,9 @@ def reachable_subgraph(
                 break
         else:
             expanded = len(sources) * len(maps)
-    del sources  # freed first: it would be a third list of the nodes at the peak
+    del sources  # freed before tuple(pred): a third copy of the nodes at the peak
     # a dict's insertion order is discovery order
-    nodes = tuple(found) if table else tuple(pred)
+    nodes = found if table else tuple(pred)
     return ReachGraph(
         generators=generators,
         seeds=seeds,
@@ -333,10 +336,13 @@ def max_indegree_from_nonsquares(graph: ReachGraph) -> int:
     (a = 0, -1 a non-square) forces it to be at most 1 in that case.
     """
     field = graph.field
-    nodes = graph.node_set()
+    parent = graph.parent
+    seed_set = set(graph.seeds)
     counts: dict[tuple[int, int], int] = {}
     for u, i, v in graph.iter_edges():
-        if u in nodes and v in nodes and not field.is_square(u):
+        # every image is a node; a source is one unless it is a seed that
+        # no walk re-enters
+        if (u not in seed_set or u in parent) and not field.is_square(u):
             key = (i, v)
             counts[key] = counts.get(key, 0) + 1
     return max(counts.values(), default=0)
@@ -353,14 +359,16 @@ def _dot_lines(graph: ReachGraph) -> Iterator[str]:
     """The lines of export_dot, each with its newline, one at a time."""
     gens = graph.generators
     field = graph.field
-    node_set = graph.node_set()
+    parent = graph.parent
     seed_set = set(graph.seeds)
     yield "digraph reach {\n  rankdir=LR;\n  node [shape=circle];\n"
     for v in graph.sources():
         attrs = []
-        if v in seed_set:
+        seed = v in seed_set
+        if seed:
             attrs.append("shape=doublecircle")
-        if v in node_set and field.is_square(v):
+        # every source but a seed is a node; a seed is one if re-entered
+        if (not seed or v in parent) and field.is_square(v):
             attrs.append("style=filled")
             attrs.append("fillcolor=lightgrey")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""

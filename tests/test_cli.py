@@ -6,15 +6,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadsemi.cli import _print_json, load_generator_set, main
+from quadsemi import criterion
+from quadsemi.cli import _print_check, _print_json, load_generator_set, main
 from quadsemi.criterion import export_dot, reachable_subgraph
 from quadsemi.field import make_field
 from quadsemi.quadratic import MonicQuadratic, expand
@@ -518,6 +522,54 @@ def test_output_digests_on_larger_closures(
     assert code == exit_code
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# -- check's node list, streamed from the walk's store --
+
+
+def test_check_memory_per_node(tmp_path):
+    # the whole command, walk and output, on the a/a+1 family pair over
+    # F_100003 (45,663 nodes): 65 B per node at its tracemalloc peak when
+    # the encoder printed a tuple of boxed nodes, 27 B streamed from the
+    # walk's array
+    doc = {"field": {"p": 100003}, "generators": [{"a": 5, "b": 8}, {"a": 6, "b": 8}]}
+    path = write_input(tmp_path, doc)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["check", path]) == 1
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / 45663 < 36
+
+
+@pytest.mark.parametrize(
+    "doc", [P10007_SINGLE, Q2187_PAIR], ids=["prime", "extension"]
+)
+def test_check_prints_the_same_from_either_store(monkeypatch, doc):
+    on_array = run_on_stdin("check", doc)
+    monkeypatch.setattr(criterion, "_TABLE_LIMIT", 0)  # every field takes the dict
+    assert type(reachable_subgraph(load_generator_set(doc, 8)).nodes) is tuple
+    assert run_on_stdin("check", doc) == on_array
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097, 8193])
+def test_print_check_matches_json_dumps(n):
+    # node lists on both sides of each 2^12-node batch, from either store
+    payload = {"verdict": "reducible", "reason": "x", "witness": [0, 1], "d_s": (2, 4)}
+    whole = {**payload, "reach_nodes": list(range(n))}
+    expected = json.dumps(whole, indent=2, sort_keys=True)
+    for nodes in (array("i", range(n)), tuple(range(n))):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _print_check(payload, nodes)
+        assert out.getvalue() == expected + "\n"
 
 
 # -- the batched JSON output against json.dumps --

@@ -3,9 +3,11 @@ subgraph, verdicts, the word chain test, witness extraction, and DOT
 export, pinned against hand-checked values over F_7 and F_13.
 """
 
+import collections
 import functools
 import itertools
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -73,7 +75,7 @@ def test_distinguished_set_examples():
 def test_reachable_subgraph_shifted_pair():
     g = reachable_subgraph(PAIR7_SHIFTED)
     assert g.seeds == (2,)
-    assert g.nodes == (3, 6)
+    assert tuple(g.nodes) == (3, 6)
     assert tuple(g.iter_edges()) == (
         (2, 0, 3),
         (2, 1, 6),
@@ -92,7 +94,7 @@ def test_reachable_subgraph_swap_pair():
     # is a node as well
     g = reachable_subgraph(PAIR13)
     assert g.seeds == (5,)
-    assert g.nodes == (5, 6)
+    assert tuple(g.nodes) == (5, 6)
     assert tuple(g.iter_edges()) == ((5, 0, 5), (5, 1, 6), (6, 0, 6), (6, 1, 5))
     assert chain_lengths(g) == {5: 1, 6: 1}
 
@@ -101,7 +103,7 @@ def test_reachable_subgraph_single_generator_chain():
     # x^2 - 5 over F_7: 2 -> 6 -> 3 -> 4 with 4 a fixed point
     g = reachable_subgraph(gset(F7, (0, 5)))
     assert g.seeds == (2,)
-    assert g.nodes == (6, 3, 4)
+    assert tuple(g.nodes) == (6, 3, 4)
     assert chain_lengths(g) == {6: 1, 3: 2, 4: 3}
     assert g.parent == {6: (2, 0), 3: (6, 0), 4: (3, 0)}
     assert g.first_square == (3, 0, 4)
@@ -310,10 +312,12 @@ def test_closure_memory_per_node():
     # image per edge took 217 B per node at the walk's peak; without that
     # list it took 178 B, and storing each node's predecessor alone, not
     # a (predecessor, generator index) tuple, took 124 B in a dict.  An
-    # array of q predecessors in place of the dict takes 58 B.
+    # array of q predecessors in place of the dict took 58 B, and arrays
+    # in place of the lists of sources and nodes, the latter returned as
+    # the graph's nodes instead of a tuple copy, take 17 B.
     per_node, nodes = walk_peak_per_node(gset(make_field(100003), (5, 8), (6, 8)))
     assert nodes == 45663
-    assert per_node < 70
+    assert per_node < 24
 
 
 def test_closure_memory_per_node_dict_store(monkeypatch):
@@ -453,7 +457,7 @@ def assert_early_exit_matches_closure(s):
     assert targets(h)[: len(targets(g))] == targets(g)
     assert all(g.parent[v] == h.parent[v] for v in g.nodes)
     if early.reason == REASON_GENERATOR:
-        assert g.nodes == () and targets(g) == []
+        assert tuple(g.nodes) == () and targets(g) == []
     elif early.reason == REASON_REACHABLE:
         # the walk ends on the edge that discovered the first square
         assert g.first_square == h.first_square
@@ -513,7 +517,7 @@ def reference_closure(s):
 
 def assert_walk_matches_reference(s):
     g = reachable_subgraph(s)
-    assert (g.nodes, g.parent, targets(g), g.first_square) == reference_closure(s)
+    assert (tuple(g.nodes), g.parent, targets(g), g.first_square) == reference_closure(s)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -535,12 +539,12 @@ def test_parent_tie_takes_the_lowest_generator():
     assert evaluate(F7, s.gens[0], 2) == evaluate(F7, s.gens[1], 2) == 4
     assert {v: u for v, (u, _) in g.parent.items()} == {0: 0, 2: 0, 4: 2}
     assert g.parent[4] == (2, 0)
-    assert tuple(g.parent) == g.nodes
+    assert tuple(g.parent) == tuple(g.nodes)
     assert len(g.parent) == len(g.nodes)
     assert 1 not in g.parent
     with pytest.raises(KeyError):
         g.parent[1]
-    assert (g.nodes, g.parent, targets(g), g.first_square) == reference_closure(s)
+    assert (tuple(g.nodes), g.parent, targets(g), g.first_square) == reference_closure(s)
 
 
 @pytest.mark.parametrize("p,e", [(10007, 1), (3, 7)])
@@ -563,7 +567,7 @@ def walk_record(s, stop):
         witness = witness_word(g)
     except ValueError:
         witness = None
-    seen = (g.nodes, dict(g.parent), g.first_square, g.expanded, witness)
+    seen = (tuple(g.nodes), dict(g.parent), g.first_square, g.expanded, witness)
     return type(g.parent._store), seen
 
 
@@ -591,6 +595,23 @@ def test_array_walk_equals_dict_walk(s):
         assert seen == dict_seen
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(any_sets())
+def test_dot_and_indegree_match_a_set_of_the_nodes(s):
+    # both read node membership without building a set of every node
+    for g in (reachable_subgraph(s), check_semigroup_irreducible(s).graph):
+        field, nodes = g.field, set(g.nodes)
+        counts = collections.Counter(
+            (i, v)
+            for u, i, v in g.iter_edges()
+            if u in nodes and v in nodes and not field.is_square(u)
+        )
+        assert max_indegree_from_nonsquares(g) == max(counts.values(), default=0)
+        shaded = re.findall(r'^  "(\d+)" \[.*style=filled', export_dot(g), re.M)
+        squares = [v for v in g.sources() if v in nodes and field.is_square(v)]
+        assert shaded == [str(v) for v in squares]
+
+
 @pytest.mark.parametrize("limit", [None, 0], ids=["array", "dict"])
 def test_parent_view_refuses_what_is_not_a_node(monkeypatch, limit):
     if limit is not None:
@@ -598,7 +619,7 @@ def test_parent_view_refuses_what_is_not_a_node(monkeypatch, limit):
     # x^2 - 1 over F_7: 6 -> 0 -> 6, so an array store holds a
     # predecessor at index -1 (element 6) and at index -7 (element 0)
     g = reachable_subgraph(gset(F7, (0, 1)))
-    assert g.nodes == (0, 6)
+    assert tuple(g.nodes) == (0, 6)
     assert g.parent == {0: (6, 0), 6: (0, 0)}
     calls = []
 
