@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
+from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .field import _TABLE_LIMIT
@@ -55,7 +56,9 @@ class ReachGraph(NamedTuple):
     expanded counts the walk's map evaluations: one per expanded source
     (in sources() order) and generator, fewer on the last source when
     the walk stopped at a square.  The images themselves are not stored;
-    iter_edges evaluates the maps again.
+    iter_edges evaluates the maps again.  square_b is the lowest index of
+    a generator whose b is a square, or None: the walk's one squareness
+    test of each b, which the verdict and the witness read.
     """
 
     generators: GeneratorSet
@@ -64,6 +67,7 @@ class ReachGraph(NamedTuple):
     parent: Mapping[int, tuple[int, int]]
     first_square: tuple[int, int, int] | None
     expanded: int
+    square_b: int | None
 
     def __repr__(self) -> str:
         # parent is left out: a large closure has millions of entries
@@ -76,17 +80,14 @@ class ReachGraph(NamedTuple):
     def field(self) -> Field:
         return self.generators.field
 
-    def node_set(self) -> frozenset[int]:
-        return frozenset(self.nodes)
-
     def square_nodes(self) -> tuple[int, ...]:
         f = self.field
         return tuple(v for v in self.nodes if f.is_square(v))
 
-    def sources(self) -> list[int]:
-        """Expansion order: the seeds, then the nodes that are not seeds."""
-        seed_set = set(self.seeds)
-        return list(self.seeds) + [v for v in self.nodes if v not in seed_set]
+    def sources(self) -> Iterator[int]:
+        """Expansion order, streamed: the seeds, then the nodes that are
+        not seeds."""
+        return chain(self.seeds, filterfalse(set(self.seeds).__contains__, self.nodes))
 
     def iter_edges(self) -> Iterator[tuple[int, int, int]]:
         """(source, generator index, image) per map evaluation of the
@@ -162,9 +163,10 @@ def reachable_subgraph(
     """Breadth-first closure of the generator maps from the distinguished
     set.  Deterministic: seeds are expanded in sorted order, then nodes
     in discovery order, applying generators in input order; each source
-    is expanded exactly once even if it is both a seed and a node.  The
-    decision alone passes _stop_at_square: the walk then does not start
-    when some b is a square and otherwise ends at the first square node.
+    is expanded exactly once even if it is both a seed and a node.  Each
+    b is tested for squareness here, once, before the walk.  The decision
+    alone passes _stop_at_square: the walk then does not start when some
+    b is a square and otherwise ends at the first square node.
 
     When q <= _TABLE_LIMIT the predecessors go into an array of q C ints,
     -1 where nothing is found yet, and an array of the nodes keeps the
@@ -183,8 +185,9 @@ def reachable_subgraph(
     expanded = 0
     prime, maps = _generator_maps(generators)
     is_square = field.is_square
+    square_b = next((i for i, g in enumerate(generators.gens) if is_square(g.b)), None)
 
-    if not (_stop_at_square and any(is_square(g.b) for g in generators.gens)):
+    if not (_stop_at_square and square_b is not None):
         for pos, u in enumerate(sources):  # grows while it is walked
             for i, a, b, square_map in maps:
                 v = ((u - a) * (u - a) - b) % prime if prime else square_map(u)
@@ -216,6 +219,7 @@ def reachable_subgraph(
         parent=_ParentView(generators, nodes, pred),
         first_square=first_square,
         expanded=expanded,
+        square_b=square_b,
     )
 
 
@@ -256,24 +260,21 @@ def witness_word(graph: ReachGraph) -> tuple[int, ...]:
     """A reducible word certifying a failed check, from a shortest walk
     to a square node.
 
-    A generator whose b is square is already reducible on its own and is
-    returned as a one-letter word (lowest index first).  Otherwise the
-    walk seed -> ... -> square, read back from the square through
-    graph.parent, gives the outer letters: each is the lowest index of a
-    generator taking a node of the walk to the next, found by evaluating
-    the maps again along that walk only.  The innermost letter is the
-    lowest-index generator whose -b equals the seed.  No shorter
+    A generator whose b is square is already reducible on its own: the
+    lowest such index, graph.square_b, is returned as a one-letter word.
+    Otherwise the walk seed -> ... -> square, read back from the square
+    through graph.parent, gives the outer letters: each is the lowest
+    index of a generator taking a node of the walk to the next, found by
+    evaluating the maps again along that walk only.  The innermost letter
+    is the lowest-index generator whose -b equals the seed.  No shorter
     outer-prefix of that word is reducible: its chain values before the
     last are the walk's earlier nodes, which lie on lower BFS levels than
     the first square node and so are non-squares.  The tests check this
     on random and exhaustive sets.  Raises ValueError when nothing is
     reducible.
     """
-    field = graph.field
-    gens = graph.generators.gens
-    for i, g in enumerate(gens):
-        if field.is_square(g.b):
-            return (i,)
+    if graph.square_b is not None:
+        return (graph.square_b,)
     if graph.first_square is None:
         raise ValueError("every composition is irreducible; nothing to witness")
     seed_set = set(graph.seeds)
@@ -283,7 +284,8 @@ def witness_word(graph: ReachGraph) -> tuple[int, ...]:
     while u not in seed_set:
         u, lab = parent[u]
         labels.append(lab)
-    inner = next(j for j, g in enumerate(gens) if field.neg(g.b) == u)
+    neg = graph.field.neg
+    inner = next(j for j, g in enumerate(graph.generators.gens) if neg(g.b) == u)
     return tuple(labels) + (inner,)
 
 
@@ -308,8 +310,7 @@ class Verdict(NamedTuple):
 
 def verdict_from_graph(graph: ReachGraph) -> Verdict:
     """The verdict a graph decides: a square b, else its first square node."""
-    generators = graph.generators
-    if any(generators.field.is_square(g.b) for g in generators.gens):
+    if graph.square_b is not None:
         return Verdict(False, REASON_GENERATOR, witness_word(graph), graph)
     if graph.first_square is not None:
         return Verdict(False, REASON_REACHABLE, witness_word(graph), graph)

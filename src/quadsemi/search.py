@@ -31,6 +31,7 @@ from array import array
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .criterion import (
+    REASON_GENERATOR,
     check_semigroup_irreducible,
     max_indegree_from_nonsquares,
     reachable_subgraph,
@@ -362,7 +363,7 @@ def single_generator_records(p: int) -> list[SingleGeneratorRecord]:
         records.append(
             SingleGeneratorRecord(
                 b=b,
-                b_is_square=field.is_square(b),
+                b_is_square=verdict.reason == REASON_GENERATOR,
                 irreducible=verdict.irreducible,
                 witness=verdict.witness or (),
             )

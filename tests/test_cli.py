@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadsemi import criterion
 from quadsemi.cli import _print_check, _print_json, load_generator_set, main
 from quadsemi.criterion import export_dot, reachable_subgraph
-from quadsemi.field import make_field
+from quadsemi.field import Field, make_field
 from quadsemi.quadratic import MonicQuadratic, expand
 
 PAIR13 = {
@@ -524,6 +524,21 @@ def test_output_digests_on_larger_closures(
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_witness_tests_each_b_once(tmp_path, capsys, monkeypatch):
+    # the digit kernel's Euler power on b = 8 runs once per command
+    doc = {"field": {"p": 1031, "e": 2}, "generators": [{"a": 5, "b": 8}]}
+    path = write_input(tmp_path, doc)
+    tested = []
+    euler = Field.euler_is_square
+    monkeypatch.setattr(
+        Field, "euler_is_square", lambda f, x: tested.append(x) or euler(f, x)
+    )
+    code, out, err = run_cli(capsys, ["witness", path])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["witness"] == [0]
+    assert tested == [8]
+
+
 # -- check's node list, streamed from the walk's store --
 
 
@@ -547,6 +562,27 @@ def test_check_memory_per_node(tmp_path):
         if not tracing:
             tracemalloc.stop()
     assert peak / 45663 < 36
+
+
+def test_dot_memory_per_node(tmp_path):
+    # the whole command, walk and DOT text, on the same pair: 69.9 B per
+    # node at its tracemalloc peak when sources() built a list of boxed
+    # nodes, 30.0 B streamed from the walk's array (CPython 3.11)
+    doc = {"field": {"p": 100003}, "generators": [{"a": 5, "b": 8}, {"a": 6, "b": 8}]}
+    path = write_input(tmp_path, doc)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["dot", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / 45663 < 45
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from quadsemi.criterion import (
     witness_word,
     word_irreducible,
 )
-from quadsemi.field import make_field
+from quadsemi.field import Field, make_field
 from quadsemi.quadratic import GeneratorSet, MonicQuadratic, evaluate
 
 F7 = make_field(7)
@@ -118,7 +118,7 @@ def test_reachable_subgraph_closure_and_membership(p, e):
     for pair in itertools.combinations(quads[:: max(1, field.q // 3)], 2):
         s = GeneratorSet(field, list(pair))
         g = reachable_subgraph(s)
-        nodes = g.node_set()
+        nodes = frozenset(g.nodes)
         sources = set(g.seeds) | nodes
         edges = tuple(g.iter_edges())
         images = set()
@@ -184,7 +184,7 @@ def test_verdict_square_seed_is_not_tested_at_length_zero():
     assert F7.is_square(2)
     v = check_semigroup_irreducible(PAIR7_SHIFTED)
     assert v.irreducible
-    assert 2 not in v.graph.node_set()
+    assert 2 not in frozenset(v.graph.nodes)
 
 
 def test_verdict_square_b_reports_generator():
@@ -192,6 +192,21 @@ def test_verdict_square_b_reports_generator():
     assert not v.irreducible
     assert v.reason == REASON_GENERATOR
     assert v.witness == (0,)
+
+
+def test_each_b_is_tested_once(monkeypatch):
+    # over F_{1031^2} (digit kernel, no squareness table) every F_p element
+    # is a square, so b = 8 decides; the verdict and the witness read the
+    # walk's one Euler power instead of each running their own
+    s = gset(make_field(1031, 2), (5, 8))
+    tested = []
+    euler = Field.euler_is_square
+    monkeypatch.setattr(
+        Field, "euler_is_square", lambda f, x: tested.append(x) or euler(f, x)
+    )
+    v = check_semigroup_irreducible(s)
+    assert (v.reason, v.witness, v.graph.square_b) == (REASON_GENERATOR, (0,), 0)
+    assert tested == [8]
 
 
 def test_verdict_reachable_square_with_witness():
@@ -279,12 +294,12 @@ def test_reach_graph_repr_leaves_out_parent_and_targets():
 def test_expanded_counts_the_derived_targets():
     # whole closure: every source expanded under every generator
     g = reachable_subgraph(PAIR13)
-    assert g.expanded == len(targets(g)) == len(g.sources()) * 2
+    assert g.expanded == len(targets(g)) == len(list(g.sources())) * 2
     assert len(tuple(g.iter_edges())) == g.expanded
     # early exit at a square: the last image is the first square node
     g = check_semigroup_irreducible(PAIR7_REDUCIBLE).graph
     assert g.first_square is not None
-    assert g.expanded == len(targets(g)) < len(g.sources()) * 2
+    assert g.expanded == len(targets(g)) < len(list(g.sources())) * 2
     assert tuple(g.iter_edges())[-1] == g.first_square
     # a square b: the walk never starts
     g = check_semigroup_irreducible(gset(F7, (0, 3), (0, 2))).graph
@@ -453,6 +468,8 @@ def assert_early_exit_matches_closure(s):
     # the explored graph is a prefix of the whole closure's BFS
     g, h = early.graph, full.graph
     assert g.seeds == h.seeds
+    square = (i for i, f in enumerate(s.gens) if s.field.euler_is_square(f.b))
+    assert g.square_b == h.square_b == next(square, None)
     assert h.nodes[: len(g.nodes)] == g.nodes
     assert targets(h)[: len(targets(g))] == targets(g)
     assert all(g.parent[v] == h.parent[v] for v in g.nodes)

@@ -82,6 +82,7 @@ DELETED = [
     (ReachGraph, "edges"),
     (ReachGraph, "targets"),
     (ReachGraph, "pred"),
+    (ReachGraph, "node_set"),
     (quadsemi.criterion, "_PredView"),
     (quadsemi.criterion, "_map_kernel"),
     (quadsemi.field, "_digit_mulmod"),
