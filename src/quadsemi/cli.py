@@ -16,7 +16,8 @@ when the path is "-"):
 Each generator is given either in shifted form {a, b} meaning
 (x - a)^2 - b, or by coefficients {c1, c0} meaning x^2 + c1 x + c0.
 Exit codes: 0 = all compositions irreducible (or clean report),
-1 = reducible (or mismatch found), 2 = bad input or out of memory.
+1 = reducible (or mismatch found), 2 = bad input or out of memory,
+141 = stdout closed before the output was written (as by `| head`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
+import os
 import sys
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -39,11 +42,12 @@ from .field import Field, make_field
 from .oracle import crosscheck
 from .quadratic import GeneratorSet, MonicQuadratic, compose_word, from_coeffs
 from .search import (
+    _CENSUS_COLUMNS,
     CENSUS_FILTERS,
+    _census,
+    _census_tsv_lines,
+    _census_values,
     _check_census_order,
-    census_json,
-    census_pairs,
-    census_tsv,
     verify_lemma_p7mod8,
     verify_prop_p3mod4,
 )
@@ -186,6 +190,27 @@ def _print_check(payload: dict, nodes: Sequence[int]) -> None:
     sys.stdout.write(tail + "\n")
 
 
+# One object of the census list as json.dumps(census_json(rows), indent=2,
+# sort_keys=True) prints it: the keys sorted, the values read from
+# _census_values in that order, the verdict one of two plain words.
+_CENSUS_KEYS = sorted(range(len(_CENSUS_COLUMNS)), key=_CENSUS_COLUMNS.__getitem__)
+_CENSUS_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
+    f'    "{_CENSUS_COLUMNS[i]}": ' + ('"%s"' if _CENSUS_COLUMNS[i] == "verdict" else "%d")
+    for i in _CENSUS_KEYS
+)
+
+
+def _census_json_lines(rows: Iterator) -> Iterator[str]:
+    """json.dumps(census_json(rows), indent=2, sort_keys=True) and a
+    newline, a row at a time, with no dict per row.
+    """
+    sep = "[\n"
+    for values in map(operator.itemgetter(*_CENSUS_KEYS), map(_census_values, rows)):
+        yield sep + _CENSUS_JSON_ROW % values
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
 def _verdict_payload(verdict: Verdict) -> dict:
     return {
         "verdict": "irreducible" if verdict.irreducible else "reducible",
@@ -222,11 +247,8 @@ def cmd_words(args) -> int:
 
 def cmd_census(args) -> int:
     _check_census_order(args.p, args.e)  # before a large field is built
-    rows = census_pairs(make_field(args.p, args.e), args.filter, args.limit)
-    if args.format == "tsv":
-        sys.stdout.write(census_tsv(rows))
-    else:
-        _print_json(census_json(rows))
+    rows = _census(make_field(args.p, args.e), args.filter, args.limit)
+    _write((_census_tsv_lines if args.format == "tsv" else _census_json_lines)(rows))
     return 0
 
 
@@ -343,6 +365,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # a reader that stopped early is no error
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -355,8 +379,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    if status == 141:
+        # the interpreter's last flush would meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

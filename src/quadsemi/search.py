@@ -7,14 +7,16 @@ verification of the two shift-free non-existence facts at small primes:
   * p = 3 (mod 4): no pair x^2 - b_f, x^2 - b_g with b_f, b_g distinct
     non-squares yields an all-irreducible semigroup.
 
-The census walks one closure per translation class of pairs, on image
-tables built on first use, and reads each pair's row from its class's
-walk; it never builds a generator set or a graph.  The verify_*
-functions need only a yes or no per shift-free set, so each set is
-decided by a walk over bare integers, one growing list without BFS
-levels, that returns at its first square node.  Both start from one walk
-per non-square singleton: a pair whose singleton reaches a square does
-too, so only pairs of two stuck singletons get a walk of their own.  The
+The census walks one closure per unordered translation class of pairs
+(a pair and its swap share a walk), on image tables built on first use,
+and reads each pair's row from its class's walk; it never builds a
+generator set or a graph, and the CLI writes its rows as they come.
+The verify_* functions need only a yes or no per shift-free set, so
+each set is decided by a walk over bare integers, one growing list
+without BFS levels, that returns at its first square node.  Both start
+from one walk per non-square singleton: a pair whose singleton reaches
+a square does too, so only pairs of two stuck singletons get a walk of
+their own.  The
 records and the family walk through the criterion module:
 single_generator_records and example_family stop at each set's first
 square, and nonsquare_pair_records reads its statistics off the whole
@@ -68,8 +70,9 @@ _CENSUS_MAX_PAIRS = 1 << 20
 # list slot and often an int object each), and class-walk nodes (4 bytes
 # each when kept; a walk that is not kept counts too, so that quads
 # starts over as well).  Every full census within the pair budget walks
-# each class once: F_37 walks about 1.33M nodes, and F_53 under
-# irreducible-generators-only, the most, about 5.3M.
+# each unordered class once: F_37 walks 666,745 nodes, and F_53 under
+# irreducible-generators-only 2,801,092 (1.33M and 5.3M, the most, with
+# one walk per ordered class key).
 _CENSUS_MAX_TABLE_ENTRIES = 1 << 20
 _CENSUS_MAX_WALK_NODES = 6 << 20
 
@@ -119,21 +122,25 @@ class _CensusMemo:
 
     quads maps a quadratic code a*q + b to ((a, b), a, a + b, whether b
     is a square), so that its rows share one (a, b) tuple; tables maps a
-    code to its image table over F_q; walks maps a class key to the
-    _walk_class result of the class member with a_f = 0, for the walks
-    asked to be kept.  A new table that would take the tables past
-    _CENSUS_MAX_TABLE_ENTRIES entries starts them over, and a new walk,
-    kept or not, that would take the walks made past
+    code to its image table over F_q; squares holds, at each shift c
+    read so far, the table of whether v + c is a square (at most q
+    tables of q bytes); walks maps a class key to (nodes, ends, swapped)
+    for the walks asked to be kept: the _walk_class result of the class
+    member with a_f = 0, stored under the key (swapped false) and under
+    its swap (swapped true).  A new table that would take the tables
+    past _CENSUS_MAX_TABLE_ENTRIES entries starts them over, and a new
+    walk, kept or not, that would take the walks made past
     _CENSUS_MAX_WALK_NODES nodes starts walks and quads over.
     """
 
-    __slots__ = ("field", "quads", "tables", "walks", "walk_nodes")
+    __slots__ = ("field", "quads", "tables", "squares", "walks", "walk_nodes")
 
     def __init__(self, field: Field):
         self.field = field
         self.quads: dict[int, tuple] = {}
         self.tables: dict[int, list[int]] = {}
-        self.walks: dict[int, tuple[array, tuple[int, ...]]] = {}
+        self.squares: list[bytes | None] = [None] * field.q
+        self.walks: dict[int, tuple[array, tuple[int, ...], bool]] = {}
         self.walk_nodes = 0
 
     def quad(self, code: int) -> tuple:
@@ -150,38 +157,57 @@ class _CensusMemo:
         if table is None:
             if (len(self.tables) + 1) * q > _CENSUS_MAX_TABLE_ENTRIES:
                 self.tables.clear()
-            table = self.tables[code] = list(map(field._square_map(a, b), range(q)))
+            table = self.tables[code] = field._square_table(a, b)
+        return table
+
+    def shifted_squares(self, c: int) -> bytes:
+        field = self.field
+        square, add = field._square_t, field.add
+        table = self.squares[c] = bytes([square[add(v, c)] for v in range(field.q)])
         return table
 
     def walk(
         self, key: int, sf: int, sg: int, d: int, keep: bool
-    ) -> tuple[array, tuple[int, ...]]:
-        """Walk the class of key: f = (0, sf) and g = (d, sg - d)."""
+    ) -> tuple[array, tuple[int, ...], bool]:
+        """Walk the class of key: f = (0, sf) and g = (d, sg - d).  The
+        swap (sg, sf, -d) names the same closure moved by -d, so a kept
+        walk is stored under both keys.
+        """
         field = self.field
+        q = field.q
         bg = field.sub(sg, d)
-        walk = _walk_class(self.table(0, sf), self.table(d, bg), field.neg(sf), field.neg(bg))
-        nodes = len(walk[0])
-        if self.walk_nodes + nodes > _CENSUS_MAX_WALK_NODES:
+        nodes, ends = _walk_class(
+            self.table(0, sf), self.table(d, bg), field.neg(sf), field.neg(bg)
+        )
+        if self.walk_nodes + len(nodes) > _CENSUS_MAX_WALK_NODES:
             self.quads.clear()
             self.walks.clear()
             self.walk_nodes = 0
-        self.walk_nodes += nodes
+        self.walk_nodes += len(nodes)
+        walk = (nodes, ends, False)
         if keep:
             self.walks[key] = walk
+            self.walks[(sg * q + sf) * q + field.neg(d)] = (nodes, ends, True)
         return walk
 
 
 def _census_rows(
-    field: Field, pairs: Iterable[tuple[int, int]], keep_below: int = 0
+    field: Field,
+    pairs: Iterable[tuple[int, int]],
+    pool: Sequence[int] = (),
+    last: tuple[int, int] | None = None,
 ) -> Iterator[CensusRow]:
     """The census row of each pair (f, g) of quadratic codes a*q + b,
-    read from one walk per translation class.
+    read from one walk per unordered translation class.
 
     Conjugating by u -> u + c takes (x - a)^2 - b to (x - a - c)^2 -
     (b - c), and the seeds and every BFS level of a pair's closure to
     their translates.  So the closure of (f, g), up to translation,
     depends only on the class key (a_f + b_f, a_g + b_g, a_g - a_f): it
-    is the closure of the class member with a_f = 0, moved by a_f.
+    is the closure of the class member with a_f = 0, moved by a_f.  The
+    levels, as sets, do not depend on the order of f and g, so the swap
+    (a_g + b_g, a_f + b_f, a_f - a_g) names the same closure moved by
+    a_f - a_g: a pair read under a swapped key is that walk moved by a_g.
 
     Each row equals what verdict_from_graph(reachable_subgraph(...))
     gives for GeneratorSet(field, [f, g]): reach_size counts the whole
@@ -190,32 +216,60 @@ def _census_rows(
     word, a shortest walk to that node plus an innermost letter.  Needs
     the field's squareness table (q <= 2^20).
 
-    A census gives its pairs in runs of equal a_f, and within a run the
-    class key fixes the pair, so only a later run reads a walk again:
-    a walk is kept only for a pair with a_f < keep_below, the a_f of the
-    last pair (the default keeps none).
+    The pairs come in runs of equal a_f, in increasing (f, g) order, up
+    to last, the last pair (none: no walk is kept), each pair drawn from
+    pool, a sorted sequence of codes.  Within one run a class has at
+    most two pairs, one read under each of its keys.  So a walk is kept
+    while a later run may read it (a_f below last's), and in last's run
+    only until the other pair of its class there, if that pair is still
+    to come.
     """
     q = field.q
-    square = field._square_t
     memo = _CensusMemo(field)
-    quads, walks = memo.quads, memo.walks
-    shift = None
+    quads, walks, squares = memo.quads, memo.walks, memo.squares
+    last_run = last[0] // q if last else -1
+    sub = field.sub
+
+    def in_pool(code: int) -> bool:
+        i = bisect.bisect_left(pool, code)
+        return i < len(pool) and pool[i] == code
+
+    def read_later(cf: int, cg: int, af: int, sf: int, sg: int, d: int) -> bool:
+        # whether the run's other pair of the class of (cf, cg), read
+        # under the swapped key, is in the pool and after (cf, cg), up
+        # to last: ((a_f, s_g - a_f), (a_f - d, s_f - a_f + d))
+        other = (af * q + sub(sg, af), sub(af, d) * q + field.add(sub(sf, af), d))
+        return (
+            (cf, cg) < other <= last
+            and other[0] < other[1]
+            and in_pool(other[0])
+            and in_pool(other[1])
+        )
+
+    cf_run = af = None
     new_row = tuple.__new__  # CensusRow(...) would run a Python-level __new__
     for cf, cg in pairs:
-        f, af, sf, square_bf = quads.get(cf) or memo.quad(cf)
+        if cf != cf_run:  # a run of equal f
+            cf_run, run = cf, af
+            f, af, sf, square_bf = quads.get(cf) or memo.quad(cf)
+            if af != run:
+                minus = [sub(a, af) for a in range(q)]  # a - a_f
         g, ag, sg, square_bg = quads.get(cg) or memo.quad(cg)
-        if af != shift:
-            # per a_f: whether v + a_f is a square, and a - a_f
-            shift = af
-            moved_square = bytes([square[field.add(v, af)] for v in range(q)])
-            minus = [field.sub(a, af) for a in range(q)]
         d = minus[ag]
         key = (sf * q + sg) * q + d
-        nodes, ends = walks.get(key) or memo.walk(key, sf, sg, d, af < keep_below)
+        walk = walks.get(key)
+        if walk is None:
+            keep = af < last_run or af == last_run and read_later(cf, cg, af, sf, sg, d)
+            walk = memo.walk(key, sf, sg, d, keep)
+        elif af == last_run and not read_later(cf, cg, af, sf, sg, d):
+            del walks[key], walks[(sg * q + sf) * q + field.neg(d)]
+        nodes, ends, swapped = walk
         if square_bf or square_bg:
             witness_len = 1
         else:
             witness_len = 0
+            c = ag if swapped else af
+            moved_square = squares[c] or memo.shifted_squares(c)
             for i, v in enumerate(nodes):
                 if moved_square[v]:
                     witness_len = bisect.bisect_right(ends, i) + 2
@@ -239,15 +293,9 @@ def _check_census_order(p: int, e: int) -> None:
             )
 
 
-def census_pairs(
-    field: Field, census_filter: str = "all", limit: int | None = None
-) -> list[CensusRow]:
-    """One row per unordered pair of distinct quadratics passing the
-    filter, in lexicographic (a1, b1) < (a2, b2) order; limit keeps the
-    first rows of that order (none for 0; a negative limit is refused).
-
-    A field with q^2 > 2^20 is refused whatever the limit, and so is a
-    census of more than 2^20 pairs without a limit.
+def _census(field: Field, census_filter: str, limit: int | None) -> Iterator[CensusRow]:
+    """census_pairs's rows, one at a time; the arguments are checked,
+    and refused, before it returns.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -264,13 +312,27 @@ def census_pairs(
             f"{_CENSUS_MAX_PAIRS}; set --limit to decide only the first pairs"
         )
     decided = pairs if limit is None else min(limit, pairs)
-    # the pool index of the last decided pair's first member
+    # the pool indices of the last decided pair
     first, left = 0, decided
     while left > len(quads) - 1 - first:
         left -= len(quads) - 1 - first
         first += 1
+    last = (quads[first], quads[first + left]) if decided else None
     rows = itertools.islice(itertools.combinations(quads, 2), decided)
-    return list(_census_rows(field, rows, quads[first] // field.q))
+    return _census_rows(field, rows, quads, last)
+
+
+def census_pairs(
+    field: Field, census_filter: str = "all", limit: int | None = None
+) -> list[CensusRow]:
+    """One row per unordered pair of distinct quadratics passing the
+    filter, in lexicographic (a1, b1) < (a2, b2) order; limit keeps the
+    first rows of that order (none for 0; a negative limit is refused).
+
+    A field with q^2 > 2^20 is refused whatever the limit, and so is a
+    census of more than 2^20 pairs without a limit.
+    """
+    return list(_census(field, census_filter, limit))
 
 
 def example_family(field: Field) -> list[int]:
@@ -468,13 +530,17 @@ def _census_values(r: CensusRow) -> tuple:
     return (r.q, *r.first, *r.second, verdict, r.witness_len, r.reach_size)
 
 
+def _census_tsv_lines(rows: Iterable[CensusRow]) -> Iterator[str]:
+    """census_tsv(rows), a line at a time."""
+    yield "\t".join(_CENSUS_COLUMNS) + "\n"
+    yield from map("%d\t%d\t%d\t%d\t%d\t%s\t%d\t%d\n".__mod__, map(_census_values, rows))
+
+
 def census_tsv(rows: list[CensusRow]) -> str:
     """Tab-separated census with a fixed header; verdicts rendered as
     irreducible/reducible.
     """
-    lines = ["\t".join(_CENSUS_COLUMNS)]
-    lines.extend("\t".join(map(str, _census_values(r))) for r in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(_census_tsv_lines(rows))
 
 
 def census_json(rows: list[CensusRow]) -> list[dict]:

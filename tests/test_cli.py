@@ -17,11 +17,19 @@ from array import array
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import quadsemi
 from quadsemi import criterion
-from quadsemi.cli import _print_check, _print_json, load_generator_set, main
+from quadsemi.cli import (
+    _census_json_lines,
+    _print_check,
+    _print_json,
+    load_generator_set,
+    main,
+)
 from quadsemi.criterion import export_dot, reachable_subgraph
 from quadsemi.field import Field, make_field
 from quadsemi.quadratic import MonicQuadratic, expand
+from quadsemi.search import CENSUS_FILTERS, census_json, census_pairs
 
 PAIR13 = {
     "field": {"p": 13},
@@ -585,6 +593,26 @@ def test_dot_memory_per_node(tmp_path):
     assert peak / 45663 < 45
 
 
+def test_census_memory_per_row():
+    # the whole command on the first 200,000 pairs over F_29, rows
+    # streamed to stdout: 251 B per row at its tracemalloc peak when
+    # the rows and then the whole text were held, 40 B streamed, most of
+    # it the walks kept for later runs (CPython 3.11)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["census", "--p", "29", "--limit", "200000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / 200000 < 60
+
+
 @pytest.mark.parametrize(
     "doc", [P10007_SINGLE, Q2187_PAIR], ids=["prime", "extension"]
 )
@@ -653,6 +681,25 @@ def test_print_json_matches_json_dumps(payload):
     with contextlib.redirect_stdout(out):
         _print_json(payload)
     assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# fields whose full census under every filter fits a few thousand rows
+CENSUS_TEXT_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CENSUS_TEXT_FIELDS),
+    st.sampled_from(CENSUS_FILTERS),
+    st.one_of(st.none(), st.integers(0, 5), st.integers(0, 1300)),
+)
+@example((3, 1), "all", 0)
+def test_census_json_template_matches_json_dumps(field_spec, census_filter, limit):
+    # the streamed writer's one %-template against the encoder, the
+    # empty census (limit 0) included
+    rows = census_pairs(make_field(*field_spec), census_filter, limit)
+    expected = json.dumps(census_json(rows), indent=2, sort_keys=True) + "\n"
+    assert "".join(_census_json_lines(iter(rows))) == expected
 
 
 # -- both generator encodings give the same output --
@@ -724,6 +771,43 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["witness"] == [0, 1]
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as at the end of `| head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["census", "--p", "5"], ["check", "-"], ["dot", "-"]])
+def test_closed_stdout_exits_141_in_process(argv):
+    err = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(PAIR13))
+    try:
+        with contextlib.redirect_stdout(ClosedStdout()), contextlib.redirect_stderr(err):
+            assert main(argv) == 141
+    finally:
+        sys.stdin = stdin
+    assert err.getvalue() == ""
+
+
+def test_closed_pipe_exits_141_quietly():
+    # census --p 13 prints 14,197 lines, about 400 KB, more than a pipe
+    # buffer holds: the command meets the closed pipe mid-stream, and
+    # the interpreter's last flush must not report it either
+    src = os.path.dirname(os.path.dirname(quadsemi.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadsemi.cli", "census", "--p", "13"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"q\ta1\tb1\ta2\tb2\tverdict\twitness_len\treach_size\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_no_command_is_usage_error():

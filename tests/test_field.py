@@ -381,3 +381,18 @@ def test_square_map_matches_sub_and_mul_on_every_element(p, e, modulus):
             images.append(image)
         assert images[1:] == images[:-1], (a, b)
         assert images[0] == [evaluate(field, MonicQuadratic(a, b), u) for u in range(q)]
+
+
+@pytest.mark.parametrize("p,e,modulus", SQUARE_MAP_FIELDS)
+def test_square_table_matches_square_map_on_every_element(p, e, modulus):
+    # every kernel's bulk image table, for every a and b over fields up
+    # to q = 25 and for a and b among 0, 1, q - 1 and two drawn values above
+    field = make_field(p, e, modulus)
+    kernels = [field] if e == 1 else [field, digit_kernel(p, e, modulus)]
+    q = field.q
+    rng = random.Random(q)
+    values = range(q) if q <= 25 else sorted({0, 1, q - 1, rng.randrange(q), rng.randrange(q)})
+    for kernel in kernels:
+        for a, b in itertools.product(values, repeat=2):
+            square_map = kernel._square_map(a, b)
+            assert kernel._square_table(a, b) == [square_map(u) for u in range(q)], (a, b)

@@ -198,20 +198,23 @@ def counted_class_walks(monkeypatch):
 
 
 def class_keys(field, pairs):
-    """The distinct (a_f + b_f, a_g + b_g, a_g - a_f) over pairs of
-    quadratic codes a*q + b: a pair's closure up to translation.
+    """The distinct unordered translation classes over pairs of quadratic
+    codes a*q + b.  A pair's (a_f + b_f, a_g + b_g, a_g - a_f) and its
+    swap (a_g + b_g, a_f + b_f, a_f - a_g) name one closure up to
+    translation; the smaller of the two stands for both.
     """
     keys = set()
     for f, g in pairs:
         (af, bf), (ag, bg) = divmod(f, field.q), divmod(g, field.q)
-        keys.add((field.add(af, bf), field.add(ag, bg), field.sub(ag, af)))
+        sf, sg, d = field.add(af, bf), field.add(ag, bg), field.sub(ag, af)
+        keys.add(min((sf, sg, d), (sg, sf, field.neg(d))))
     return keys
 
 
-@pytest.mark.parametrize("p,e,classes", [(11, 1, 1320), (3, 2, 720)])
+@pytest.mark.parametrize("p,e,classes", [(11, 1, 660), (3, 2, 360)])
 def test_census_walks_once_per_translation_class(monkeypatch, p, e, classes):
-    # a work count in place of a timing gate: one walk per class key
-    # (F_11: 1,320 for 7,260 pairs), not one per pair
+    # a work count in place of a timing gate: one walk per unordered
+    # class (F_11: 660 for 7,260 pairs), not one per pair or per key
     field = make_field(p, e)
     walks = counted_class_walks(monkeypatch)
     for census_filter in CENSUS_FILTERS:
@@ -222,6 +225,32 @@ def test_census_walks_once_per_translation_class(monkeypatch, p, e, classes):
         walks.clear()
         assert len(census_pairs(field, census_filter)) == len(pairs)
         assert len(walks) == len(keys), census_filter
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(5, 1), (7, 1), (11, 1), (3, 2)]),
+    st.sampled_from(CENSUS_FILTERS),
+    st.data(),
+)
+def test_limited_census_walks_each_class_once(field_spec, census_filter, data):
+    # a census cut anywhere gives the full census's first rows and walks
+    # each unordered class of its pairs once: no walk is let go in the
+    # last run while a later pair still reads it.  At the end it keeps
+    # only the walks of earlier runs that the last run did not read.
+    field = cached_field(*field_spec)
+    full = census_pairs(field, census_filter)
+    limit = data.draw(st.integers(0, len(full)))
+    with pytest.MonkeyPatch.context() as mp:
+        memos, held = recorded_memos(mp)
+        assert census_pairs(field, census_filter, limit) == full[:limit]
+    pool = _census_quadratics(field, census_filter)
+    pairs = list(itertools.islice(itertools.combinations(pool, 2), limit))
+    assert len(held) == len(class_keys(field, pairs))
+    last_run = pairs[-1][0] // field.q if pairs else None
+    earlier = class_keys(field, [p for p in pairs if p[0] // field.q != last_run])
+    in_last = class_keys(field, [p for p in pairs if p[0] // field.q == last_run])
+    assert len(kept_walks(memos[0])) == len(earlier - in_last)
 
 
 def recorded_memos(monkeypatch):
@@ -248,10 +277,17 @@ def recorded_memos(monkeypatch):
     return memos, held
 
 
+def kept_walks(memo):
+    """The node arrays of the walks a census memo keeps, each once,
+    though it is stored under a class key and under its swap.
+    """
+    return {id(nodes): nodes for nodes, _, _ in memo.walks.values()}.values()
+
+
 def holding(memo):
     """(image-table entries, stored walk nodes) a census memo holds."""
     tables = sum(map(len, memo.tables.values()))
-    return tables, sum(len(nodes) for nodes, _ in memo.walks.values())
+    return tables, sum(map(len, kept_walks(memo)))
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (3, 2)])
@@ -275,7 +311,7 @@ def test_census_cache_eviction_keeps_rows_within_budget(monkeypatch, p, e):
 
 
 def test_census_keeps_no_walk_that_no_later_pair_reads(monkeypatch):
-    # one run of equal a_f, where each class key names one pair: the
+    # one run of equal a_f, where each unordered class names one pair: the
     # shift-free census over F_31, and the first 2,000 pairs over F_101,
     # all with a_f = 0; no class walk is kept, and the rows still equal
     # the whole-closure reference
@@ -293,21 +329,28 @@ def test_census_keeps_no_walk_that_no_later_pair_reads(monkeypatch):
 
 
 def test_census_keeps_walks_for_later_runs(monkeypatch):
-    # the first 2,000 pairs over F_11 reach a_f = 1: the walk of each
-    # pair with a_f = 0 is kept (each is a class of its own there), and
-    # none from the run of the last pair
+    # the first 2,000 pairs over F_11 reach a_f = 1.  The 1,265 pairs
+    # with a_f = 0 meet all 660 classes, and each walk is kept for the
+    # later run.  In the run of the last pair a walk is let go at its
+    # last read there, so the walks left are those no pair with a_f = 1
+    # read.
     memos, _ = recorded_memos(monkeypatch)
     field = make_field(11)
     rows = census_pairs(field, limit=2000)
     assert rows[-1].first[0] == 1 > rows[0].first[0]
-    assert len(memos[0].walks) == sum(r.first[0] == 0 for r in rows) == 1265
+    assert sum(r.first[0] == 0 for r in rows) == 1265
+    codes = [(r.first[0] * 11 + r.first[1], r.second[0] * 11 + r.second[1]) for r in rows]
+    first_run, last_run = class_keys(field, codes[:1265]), class_keys(field, codes[1265:])
+    assert len(first_run) == 660 and last_run < first_run
+    assert len(kept_walks(memos[0])) == len(first_run - last_run)
     assert census_pairs(field)[:2000] == rows
-    # at the edge of the first run: its last pair keeps nothing, and one
-    # pair more keeps the whole run
-    for limit, kept in ((1265, 0), (1266, 1265)):
+    # at the edge of the first run: within it each walk is kept only
+    # for its swapped pair, so its last pair leaves nothing; one pair
+    # more keeps the whole run but the one class that pair reads
+    for limit, kept in ((1265, 0), (1266, 659)):
         memos.clear()
         census_pairs(field, limit=limit)
-        assert len(memos[0].walks) == kept, limit
+        assert len(kept_walks(memos[0])) == kept, limit
 
 
 TRANSLATION_FIELDS = [
@@ -349,6 +392,28 @@ def test_closure_translation_equivariant(drawn):
     )
     assert set(moved.seeds) == {field.add(s, c) for s in graph.seeds}
     assert bfs_depths(moved) == {field.add(v, c): k for v, k in bfs_depths(graph).items()}
+
+
+@st.composite
+def generator_pairs(draw):
+    """A field and two distinct generators (a, b)."""
+    field = cached_field(*draw(st.sampled_from(TRANSLATION_FIELDS)))
+    element = st.integers(0, field.q - 1)
+    f = draw(st.tuples(element, element))
+    g = draw(st.tuples(element, element).filter(lambda g: g != f))
+    return field, f, g
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(generator_pairs())
+def test_closure_levels_do_not_depend_on_generator_order(drawn):
+    # the census reads a pair and its swap from one walk: [f, g] and
+    # [g, f] have the same seeds and the same nodes at each BFS depth
+    field, f, g = drawn
+    graph = reachable_subgraph(GeneratorSet(field, [MonicQuadratic(*f), MonicQuadratic(*g)]))
+    swapped = reachable_subgraph(GeneratorSet(field, [MonicQuadratic(*g), MonicQuadratic(*f)]))
+    assert swapped.seeds == graph.seeds
+    assert bfs_depths(swapped) == bfs_depths(graph)
 
 
 @pytest.mark.parametrize("p,e", [(1021, 1), (31, 2)])
