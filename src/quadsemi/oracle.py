@@ -54,9 +54,9 @@ def crosscheck(generators: GeneratorSet, depth: int) -> CrosscheckReport:
 
     Dense degrees grow as 2^length and the word count as |S|^length, so
     the cost climbs steeply with depth: a pair over F_13 takes about
-    0.05 s to depth 5 (62 words, degrees up to 32) and about 0.3 s to
-    depth 6 on a 2-CPU x86-64 VM.  The per-length tallies follow the
-    dense verdict.
+    0.02 s to depth 5 (62 words, degrees up to 32) and about 0.13 s to
+    depth 6 on one CPU of a 2-CPU x86-64 VM.  The per-length tallies
+    follow the dense verdict.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -17,18 +17,31 @@ of x**q reduced one division step at a time.  Speed matters for the
 exhaustive sweeps, so multiplication, reduction and the matrix product
 carry a fast path for prime fields (plain integer residues): there a
 matrix row is packed into one integer, a slot per coefficient, and a
-matrix-vector product is one sum of integer products.  The generic
-path works for any Field through its arithmetic, which is table-driven
-up to q = 2^20.
+matrix-vector product is one sum of integer products.  A slot is wide
+enough for the largest sum it can hold, n (p - 1)**2 for n reduced
+rows, and from seven slots up it is rounded up to whole bytes, so that
+packing and unpacking go through an array.  The rows of the matrix of
+multiplication by x**q are themselves built packed and left unreduced,
+so a product with them takes slots for n**2 (p - 1)**3 + p; the
+Frobenius rows are reduced as they are unpacked, so that the n - 1
+later steps keep the narrow slots.  The generic path works for any
+Field through its arithmetic, which is table-driven up to q = 2^20.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from operator import lshift, mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .field import Field
+
+# The array code of each unsigned byte width, for byte-aligned slots: the
+# little-endian bytes of a packed int match an array's own byte order only
+# on a little-endian machine, and elsewhere every slot is shifted.
+_SLOT_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
 
 
 def normalize(coeffs) -> list[int]:
@@ -123,42 +136,79 @@ def poly_gcd(field: Field, a, b) -> list[int]:
 
 
 def poly_pow_mod(field: Field, base, n: int, modulus) -> list[int]:
-    """base**n reduced modulo a nonzero polynomial, n >= 0."""
+    """base**n reduced modulo a nonzero polynomial, n >= 0.
+
+    Square-and-multiply from the top bit down, so that every multiplication
+    is by the reduced base: for base x it is a shift and one division step.
+    """
     if n < 0:
         raise ValueError("negative exponent")
-    result = poly_rem(field, [1], modulus)
-    acc = poly_rem(field, base, modulus)
-    while n:
-        if n & 1:
-            result = poly_rem(field, poly_mul(field, result, acc), modulus)
-        n >>= 1
-        if n:
-            acc = poly_rem(field, poly_mul(field, acc, acc), modulus)
+    if not n:
+        return poly_rem(field, [1], modulus)
+    result = base = poly_rem(field, base, modulus)
+    for bit in bin(n)[3:]:
+        result = poly_rem(field, poly_mul(field, result, result), modulus)
+        if bit == "1":
+            result = poly_rem(field, poly_mul(field, result, base), modulus)
     return result
+
+
+def _slots(p: int, n: int, bound: int):
+    """Kronecker packing of n coefficients into one integer, in slots wide
+    enough for sums of up to bound: the slot width w, pack(row) -> int,
+    and unpack(int) -> its n slots mod p.
+
+    From seven slots up, a slot is rounded up to 1, 2, 4 or 8 bytes where
+    that suffices, and packing goes through an array and its bytes.  With
+    fewer slots, or wider ones, coefficients are shifted in and out one at
+    a time: below seven slots that costs less than building the array,
+    which matters where a small matrix is stepped many times, as in the
+    table kernel's build.
+    """
+    w = bound.bit_length()
+    size = 1 << ((w - 1) >> 3).bit_length()  # bytes of an aligned slot
+    code = _SLOT_CODES.get(size) if n >= 7 else None
+    if code:
+        n_bytes = n * size
+
+        def pack(row):
+            return int.from_bytes(array(code, row).tobytes(), "little")
+
+        def unpack(acc):
+            return [c % p for c in array(code, acc.to_bytes(n_bytes, "little"))]
+
+        return 8 * size, pack, unpack
+    mask = (1 << w) - 1
+    shifts = range(0, n * w, w)
+
+    def pack(row):
+        return sum(map(lshift, row, shifts))
+
+    def unpack(acc):
+        return [(acc >> s & mask) % p for s in shifts]
+
+    return w, pack, unpack
 
 
 def _matrix_step(field: Field, rows):
     """The linear map u -> sum of u[i] * rows[i] on polynomials of degree
     < n, for n = len(rows) reduced rows of degree < n.
 
-    Over a prime field each row is packed into one integer with a slot of
-    w bits per coefficient (Kronecker substitution), w wide enough that a
-    sum of n products of residues, each at most (p - 1)**2, never carries
-    into the next slot.  A product is then one C-level sum of n integer
-    products, and each coefficient is one shift, mask and reduction.
+    Over a prime field each row is packed into one integer with a slot
+    per coefficient (Kronecker substitution), wide enough that a sum of n
+    products of residues, each at most (p - 1)**2, never carries into the
+    next slot.  A product is then one C-level sum of n integer products,
+    unpacked and reduced by _slots.
     """
     n = len(rows)
     if field.e == 1:
         p = field.p
-        w = (n * (p - 1) ** 2).bit_length()
-        mask = (1 << w) - 1
-        shifts = range(0, n * w, w)
-        packed = [sum(map(lshift, row, shifts)) for row in rows]
+        _, pack, unpack = _slots(p, n, n * (p - 1) ** 2)
+        packed = list(map(pack, rows))
 
         def step(u):
             # map() stops at the end of u, whose missing terms are zero
-            acc = sum(map(mul, u, packed))
-            return normalize([(acc >> s & mask) % p for s in shifts])
+            return normalize(unpack(sum(map(mul, u, packed))))
 
         return step
     add, fmul = field.add, field.mul
@@ -183,12 +233,38 @@ def _frobenius_map(field: Field, xq, f):
     xq mod f: one product with the matrix of multiplication by xq, whose
     row j is x**j * xq mod f, that is row j - 1 shifted up and reduced
     by one division step.
+
+    Over F_p that matrix is built packed, one slot per coefficient: row
+    j is row j - 1 shifted up one slot, its top slot c dropped and
+    (c mod p) times the packed -f mod p added.  The slots stay
+    unreduced.  Each row adds at most (p - 1)**2 to a slot, so a slot of
+    a row holds at most n (p - 1)**2, and a slot of a product of a
+    reduced row with the matrix at most n**2 (p - 1)**3 + p, the bound
+    the build's slots are sized for.  Each Frobenius row is reduced mod
+    p as it is unpacked: the Frobenius matrix is stepped up to n - 1
+    times per test, and reduced rows keep its slots at the narrow
+    n (p - 1)**2 of _matrix_step.
     """
     n = len(f) - 1
-    shifted = [xq]
-    for _ in range(n - 1):
-        shifted.append(poly_rem(field, [0] + shifted[-1], f))
-    times_xq = _matrix_step(field, shifted)
+    if field.e == 1:
+        p = field.p
+        w, pack, unpack = _slots(p, n, n * n * (p - 1) ** 3 + p)
+        top = (n - 1) * w
+        low = (1 << top) - 1
+        row, neg_f = pack(xq), pack([-c % p for c in f[:n]])
+        shifted = [row]
+        for _ in range(n - 1):
+            row = ((row & low) << w) + (row >> top) % p * neg_f
+            shifted.append(row)
+
+        def times_xq(u):
+            return unpack(sum(map(mul, u, shifted)))
+
+    else:
+        shifted = [xq]
+        for _ in range(n - 1):
+            shifted.append(poly_rem(field, [0] + shifted[-1], f))
+        times_xq = _matrix_step(field, shifted)
     rows = [[1], xq]
     for _ in range(n - 2):
         rows.append(times_xq(rows[-1]))

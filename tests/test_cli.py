@@ -763,11 +763,15 @@ def test_both_encodings_print_the_same_output(docs):
 # -- process-level entry --
 
 def test_module_entry_point(tmp_path):
+    # the child finds the package it was imported from, also when pytest
+    # reached it through pyproject's pythonpath and not the environment
     path = write_input(tmp_path, PAIR7_REDUCIBLE)
+    src = os.path.dirname(os.path.dirname(quadsemi.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "quadsemi.cli", "check", path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["witness"] == [0, 1]

@@ -340,6 +340,70 @@ def test_matrix_step_worst_case_does_not_carry(p, n):
         assert step(u) == normalize(plain)
 
 
+# (p, n) whose packed build takes slots of 1, 2, 4 and 8 bytes, then one
+# wider than 8 bytes, which unpacks by shifts: n**2 (p - 1)**3 + p has 8,
+# 15, 25, 49 and 74 bits
+BUILD_SLOTS = [(3, 5), (5, 16), (13, 128), (4099, 64), (1000003, 128)]
+
+
+@pytest.mark.parametrize("p,n", BUILD_SLOTS)
+def test_frobenius_build_worst_case_does_not_carry(p, n):
+    # every coefficient of -f mod p is p - 1.  The first xq has every
+    # coefficient p - 1 too; the second makes every top slot the packed
+    # build reads p - 1, since x**(n+1) = 1 mod f, so that each shifted
+    # row adds the most, (p - 1)**2, to its slots.  The step must agree
+    # with an unpacked sum over the rows xq**i mod f.
+    field = make_field(p)
+    f = [1] * (n + 1)
+    for xq in ([p - 1] * n, [p - 1] + [(k - n) % p for k in range(1, n)]):
+        rows = [[1]]
+        for _ in range(n - 1):
+            rows.append(poly_rem(field, poly_mul(field, rows[-1], xq), f))
+        step = _frobenius_map(field, xq, f)
+        for u in ([p - 1] * n, xq, [0, 1]):
+            plain = [0] * n
+            for a, row in zip(u, rows):
+                for j, c in enumerate(row):
+                    plain[j] += a * c
+            assert step(u) == normalize([c % p for c in plain])
+
+
+def gauss_count(q, n):
+    """Monic irreducibles of degree n over F_q: (1/n) sum mu(d) q**(n/d)."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
+            if all(d % (r * r) for r in primes):
+                total += (-1) ** len(primes) * q ** (n // d)
+    return total // n
+
+
+@pytest.mark.parametrize("p,e,max_n", [(3, 1, 6), (5, 1, 4), (7, 1, 4), (13, 1, 3), (3, 2, 3)])
+def test_rabin_irreducible_counts_match_gauss(p, e, max_n):
+    field = make_field(p, e)
+    for n in range(1, max_n + 1):
+        found = sum(
+            rabin_irreducible(field, list(tail) + [1])
+            for tail in itertools.product(range(field.q), repeat=n)
+        )
+        assert found == gauss_count(field.q, n)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_frobenius_steps_at_degrees_64_and_128(n):
+    # the degrees of the deepest crosscheck words over F_13, where the
+    # packed build takes 4-byte slots
+    rng = random.Random(n)
+    f = [rng.randrange(13) for _ in range(n)] + [1]
+    cur = poly_rem(F13, [0, 1], f)
+    frobenius = _frobenius_map(F13, poly_pow_mod(F13, cur, 13, f), f)
+    for _ in range(3):
+        nxt = poly_pow_mod(F13, cur, 13, f)
+        assert frobenius(cur) == nxt
+        cur = nxt
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (P81, 1), (3, 2), (5, 2)])
 def test_rabin_and_frobenius_on_degree_one(p, e):
     # every linear f is irreducible, and x**(q**k) = -c modulo x + c;
