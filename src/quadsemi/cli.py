@@ -29,7 +29,7 @@ import operator
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable
 
 from .criterion import (
     Verdict,
@@ -154,61 +154,51 @@ def load_generator_set(doc: dict, max_generators: int) -> GeneratorSet:
     return generators
 
 
-def _write(chunks: Iterator[str]) -> None:
-    # written in batches: one string of a census of 2^20 rows takes GBs,
-    # and a batch of 2^12 chunks keeps a large closure's peak low
-    for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 12)), ""):
-        sys.stdout.write(batch)
-
-
-def _print_json(payload) -> None:
-    _write(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
-    sys.stdout.write("\n")
-
-
-def _print_check(payload: dict, nodes: Sequence[int]) -> None:
-    """_print_json({**payload, "reach_nodes": list(nodes)}) byte for byte,
-    with the nodes written 2^12 at a time straight from the walk's store:
-    the encoder would need them all as boxed ints, 40 B each.  payload
-    holds the verdict's fields and d_s, so no other value is a string
-    that could hold the marker.
+def _write(chunks: Iterable[str], sep: str = "", lead: str = "") -> str:
+    """Write lead, then the chunks joined by sep, 2^12 chunks at a time:
+    one string of a census of 2^20 rows takes GBs, and a batch keeps a
+    large closure's peak low.  Returns lead when there were no chunks.
     """
-    marker = "\0reach_nodes"
-    text = json.dumps({**payload, "reach_nodes": marker}, indent=2, sort_keys=True)
-    head, _, tail = text.partition(json.dumps(marker))
-    sys.stdout.write(head)
-    if not nodes:
-        sys.stdout.write("[]")
-    else:
-        sep = ",\n    "
-        step = 1 << 12
-        sys.stdout.write("[\n    ")
-        for start in range(0, len(nodes), step):
-            batch = sep.join(map(str, nodes[start : start + step]))
-            sys.stdout.write(sep + batch if start else batch)
-        sys.stdout.write("\n  ]")
-    sys.stdout.write(tail + "\n")
+    chunks = iter(chunks)
+    for batch in iter(lambda: sep.join(itertools.islice(chunks, 1 << 12)), ""):
+        sys.stdout.write(lead + batch)
+        lead = sep
+    return lead
+
+
+# The value of the one payload slot, or the whole payload, that
+# _print_json writes as a list from its items.  No other payload value is
+# a string that could hold it.
+_LIST = "\0list"
+
+
+def _print_json(payload, items: Iterable[str] | None = None) -> None:
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline.  With
+    items, the _LIST in payload stands for the list whose elements' JSON
+    texts items gives, written through _write as they come and indented
+    as the marker's line is: the encoder would hold them all at once,
+    for check a boxed int of 40 B per node.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if items is not None:
+        head, _, text = text.partition(json.dumps(_LIST))
+        line = head[head.rfind("\n") + 1 :]
+        indent = "\n" + line[: len(line) - len(line.lstrip(" "))]
+        sys.stdout.write(head)
+        lead = "[" + indent + "  "
+        empty = _write(items, "," + indent + "  ", lead) == lead
+        sys.stdout.write("[]" if empty else indent + "]")
+    sys.stdout.write(text + "\n")
 
 
 # One object of the census list as json.dumps(census_json(rows), indent=2,
 # sort_keys=True) prints it: the keys sorted, the values read from
 # _census_values in that order, the verdict one of two plain words.
 _CENSUS_KEYS = sorted(range(len(_CENSUS_COLUMNS)), key=_CENSUS_COLUMNS.__getitem__)
-_CENSUS_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
+_CENSUS_JSON_ROW = "{\n%s\n  }" % ",\n".join(
     f'    "{_CENSUS_COLUMNS[i]}": ' + ('"%s"' if _CENSUS_COLUMNS[i] == "verdict" else "%d")
     for i in _CENSUS_KEYS
 )
-
-
-def _census_json_lines(rows: Iterator) -> Iterator[str]:
-    """json.dumps(census_json(rows), indent=2, sort_keys=True) and a
-    newline, a row at a time, with no dict per row.
-    """
-    sep = "[\n"
-    for values in map(operator.itemgetter(*_CENSUS_KEYS), map(_census_values, rows)):
-        yield sep + _CENSUS_JSON_ROW % values
-        sep = ",\n"
-    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 def _verdict_payload(verdict: Verdict) -> dict:
@@ -223,8 +213,8 @@ def cmd_check(args) -> int:
     generators = load_generator_set(_read_document(args.input), args.max_generators)
     graph = reachable_subgraph(generators)
     verdict = verdict_from_graph(graph)
-    payload = {**_verdict_payload(verdict), "d_s": graph.seeds}
-    _print_check(payload, graph.nodes)
+    payload = {**_verdict_payload(verdict), "d_s": graph.seeds, "reach_nodes": _LIST}
+    _print_json(payload, map(str, graph.nodes))
     return 0 if verdict.irreducible else 1
 
 
@@ -248,7 +238,11 @@ def cmd_words(args) -> int:
 def cmd_census(args) -> int:
     _check_census_order(args.p, args.e)  # before a large field is built
     rows = _census(make_field(args.p, args.e), args.filter, args.limit)
-    _write((_census_tsv_lines if args.format == "tsv" else _census_json_lines)(rows))
+    if args.format == "tsv":
+        _write(_census_tsv_lines(rows))
+    else:
+        values = map(operator.itemgetter(*_CENSUS_KEYS), map(_census_values, rows))
+        _print_json(_LIST, map(_CENSUS_JSON_ROW.__mod__, values))
     return 0
 
 

@@ -46,13 +46,14 @@ class ReachGraph(NamedTuple):
 
     nodes lists elements in BFS discovery order; a distinguished value
     appears among the nodes only if some walk re-enters it.  It is the
-    walk's own store of them: an array of C ints when q <= _TABLE_LIMIT,
-    a tuple above.  parent is a read-only mapping, iterated in discovery
-    order, from each node v to (u, i): u is the source that first
-    discovered v, so its chain back to a seed is a shortest walk, and i
-    is the generator index that took u to v, found again by evaluating
-    the maps.  first_square is the edge that discovered the earliest
-    square node, or None when every explored node is a non-square.
+    walk's own store of them: an array of C ints for a whole closure
+    with q <= _TABLE_LIMIT, otherwise a tuple.  parent is a read-only
+    mapping, iterated in discovery order, from each node v to (u, i): u
+    is the source that first discovered v, so its chain back to a seed is
+    a shortest walk, and i is the generator index that took u to v, found
+    again by evaluating the maps.  first_square is the edge that
+    discovered the earliest square node, or None when every explored
+    node is a non-square.
     expanded counts the walk's map evaluations: one per expanded source
     (in sources() order) and generator, fewer on the last source when
     the walk stopped at a square.  The images themselves are not stored;
@@ -168,19 +169,21 @@ def reachable_subgraph(
     alone passes _stop_at_square: the walk then does not start when some
     b is a square and otherwise ends at the first square node.
 
-    When q <= _TABLE_LIMIT the predecessors go into an array of q C ints,
-    -1 where nothing is found yet, and an array of the nodes keeps the
-    discovery order and becomes the graph's nodes; larger fields keep a
-    dict, whose keys keep it.
+    A whole closure with q <= _TABLE_LIMIT puts the predecessors into an
+    array of q C ints, -1 where nothing is found yet, and an array of the
+    nodes keeps the discovery order and becomes the graph's nodes.  A
+    larger field keeps a dict, whose keys keep that order, and so does
+    the decision at every q: it mostly stops within a few nodes, where
+    the q-int array would cost more than the walk.
     """
     field = generators.field
     seeds = distinguished_set(generators)
     seed_set = set(seeds)
-    table = field.q <= _TABLE_LIMIT
-    # C ints on table fields: a boxed int and its list slot take 40 B
-    sources = array("i", seeds) if table else list(seeds)
-    pred = array("i", [-1]) * field.q if table else {}
-    found = array("i")  # the nodes in discovery order, table fields only
+    array_store = field.q <= _TABLE_LIMIT and not _stop_at_square
+    # C ints in the array store: a boxed int and its list slot take 40 B
+    sources = array("i", seeds) if array_store else list(seeds)
+    pred = array("i", [-1]) * field.q if array_store else {}
+    found = array("i")  # the nodes in discovery order, array store only
     first_square: tuple[int, int, int] | None = None
     expanded = 0
     prime, maps = _generator_maps(generators)
@@ -191,7 +194,7 @@ def reachable_subgraph(
         for pos, u in enumerate(sources):  # grows while it is walked
             for i, a, b, square_map in maps:
                 v = ((u - a) * (u - a) - b) % prime if prime else square_map(u)
-                if table:
+                if array_store:
                     if pred[v] >= 0:
                         continue
                     found.append(v)
@@ -211,7 +214,7 @@ def reachable_subgraph(
             expanded = len(sources) * len(maps)
     del sources  # freed before tuple(pred): a third copy of the nodes at the peak
     # a dict's insertion order is discovery order
-    nodes = found if table else tuple(pred)
+    nodes = found if array_store else tuple(pred)
     return ReachGraph(
         generators=generators,
         seeds=seeds,

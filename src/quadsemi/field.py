@@ -14,11 +14,10 @@ so an operation is one or two lookups; above that, the dense layer of
 ``polys`` over F_p on digit vectors, modulo the defining polynomial.
 The table kernel extends the digit kernel, whose powers find g.  The
 tests check the digit kernel against the table kernel.  Each kernel
-also gives the generator map u -> (u - a)^2 - b as one callable,
-``_square_map(a, b)``, and its images of the whole field as one list,
-``_square_table(a, b)``.  Every map evaluation goes through one of them
-except in the closure walk and its replay over a prime field, which
-inline it.
+has one generator map u -> (u - a)^2 - b, the callable
+``_square_map(a, b)``.  Every map evaluation goes through it, the
+census's image tables included, except in the closure walk and its
+replay over a prime field, which inline it.
 
 Fields of even characteristic are rejected: the quadratic-residue
 machinery this package is built around needs 2 to be invertible.
@@ -140,11 +139,6 @@ class Field:
         p = self.p
         return lambda u: ((u - a) * (u - a) - b) % p
 
-    def _square_table(self, a: int, b: int) -> list[int]:
-        """The images of 0, 1, ..., q - 1 under _square_map(a, b)."""
-        p = self.p
-        return [(t * t - b) % p for t in range(-a, p - a)]
-
     def is_square(self, x: int) -> bool:
         """Quadratic-residue test; 0 counts as a square (0 = 0^2)."""
         if self._square_t is not None:
@@ -212,9 +206,6 @@ class _DigitField(Field):
             return sub(mul(t, t), b)
 
         return square_map
-
-    def _square_table(self, a: int, b: int) -> list[int]:
-        return list(map(self._square_map(a, b), range(self.q)))
 
 
 class _TableField(_DigitField):

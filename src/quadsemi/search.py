@@ -157,7 +157,7 @@ class _CensusMemo:
         if table is None:
             if (len(self.tables) + 1) * q > _CENSUS_MAX_TABLE_ENTRIES:
                 self.tables.clear()
-            table = self.tables[code] = field._square_table(a, b)
+            table = self.tables[code] = list(map(field._square_map(a, b), range(q)))
         return table
 
     def shifted_squares(self, c: int) -> bytes:
@@ -531,16 +531,11 @@ def _census_values(r: CensusRow) -> tuple:
 
 
 def _census_tsv_lines(rows: Iterable[CensusRow]) -> Iterator[str]:
-    """census_tsv(rows), a line at a time."""
+    """The tab-separated census, a line at a time: a fixed header, then
+    one line per row with its verdict as irreducible or reducible.
+    """
     yield "\t".join(_CENSUS_COLUMNS) + "\n"
     yield from map("%d\t%d\t%d\t%d\t%d\t%s\t%d\t%d\n".__mod__, map(_census_values, rows))
-
-
-def census_tsv(rows: list[CensusRow]) -> str:
-    """Tab-separated census with a fixed header; verdicts rendered as
-    irreducible/reducible.
-    """
-    return "".join(_census_tsv_lines(rows))
 
 
 def census_json(rows: list[CensusRow]) -> list[dict]:

@@ -19,13 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import quadsemi
 from quadsemi import criterion
-from quadsemi.cli import (
-    _census_json_lines,
-    _print_check,
-    _print_json,
-    load_generator_set,
-    main,
-)
+from quadsemi.cli import _LIST, _print_json, load_generator_set, main
 from quadsemi.criterion import export_dot, reachable_subgraph
 from quadsemi.field import Field, make_field
 from quadsemi.quadratic import MonicQuadratic, expand
@@ -134,27 +128,60 @@ def test_check_rejects_missing_file(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
+# Each document with the message it is refused with.
+INVALID_DOCUMENTS = [
+    (
         {"field": {"p": 7}, "generators": [{"a": 0, "b": 3}], "extra": 1},
+        "unknown input key(s): extra",
+    ),
+    (
         {"field": {"p": 7, "bits": 3}, "generators": [{"a": 0, "b": 3}]},
+        "unknown field key(s): bits",
+    ),
+    (
         {"field": {"p": 7}, "generators": [{"a": 0, "c0": 3}]},
+        'generator #0 must have keys {"a", "b"} or {"c1", "c0"}, got {a, c0}',
+    ),
+    (
         {"field": {"p": 7}, "generators": [{"a": 0, "b": 3, "c1": 0}]},
-        {"field": {"p": 7}, "generators": []},
-        {"field": {"p": 7}, "generators": "nope"},
-        {"generators": [{"a": 0, "b": 3}]},
+        'generator #0 must have keys {"a", "b"} or {"c1", "c0"}, got {a, b, c1}',
+    ),
+    ({"field": {"p": 7}, "generators": []}, '"generators" must be a nonempty list'),
+    ({"field": {"p": 7}, "generators": "nope"}, '"generators" must be a nonempty list'),
+    ({"generators": [{"a": 0, "b": 3}]}, "missing input key(s): field"),
+    (
         {"field": {"p": 7}, "generators": [{"a": 0, "b": 3.5}]},
+        'generator #0 "b" must be an integer, got 3.5',
+    ),
+    (
         {"field": {"p": 7}, "generators": [{"a": 0, "b": True}]},
-        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to
-        # the first 12 prime bases
+        'generator #0 "b" must be an integer, got True',
+    ),
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to
+    # the first 12 prime bases
+    (
         {"field": {"p": 318665857834031151167461}, "generators": [{"a": 0, "b": 3}]},
-    ],
+        "p = 318665857834031151167461 is not prime",
+    ),
+    ([{"field": {"p": 7}, "generators": [{"a": 0, "b": 3}]}], "input must be a JSON object"),
+    ({"field": 7, "generators": [{"a": 0, "b": 3}]}, '"field" must be an object'),
+    (
+        {"field": {"p": 3, "e": 2, "modulus": "x^2 + 1"}, "generators": [{"a": 0, "b": 3}]},
+        '"modulus" must be a list of coefficients',
+    ),
+    ({"field": {"p": 7}, "generators": [[0, 3]]}, "generator #0 must be an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    INVALID_DOCUMENTS,
+    ids=[f"doc{i}" for i in range(len(INVALID_DOCUMENTS))],
 )
-def test_check_rejects_invalid_documents(tmp_path, capsys, doc):
+def test_check_rejects_invalid_documents(tmp_path, capsys, doc, message):
     code, _, err = run_cli(capsys, ["check", write_input(tmp_path, doc)])
     assert code == 2
-    assert "error:" in err
+    assert err == f"error: {message}\n"
 
 
 def test_check_reduces_integers_mod_p_for_prime_fields(tmp_path, capsys):
@@ -625,14 +652,15 @@ def test_check_prints_the_same_from_either_store(monkeypatch, doc):
 
 @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 8193])
 def test_print_check_matches_json_dumps(n):
-    # node lists on both sides of each 2^12-node batch, from either store
+    # check's node list written from items: on both sides of each
+    # 2^12-node batch, from either store
     payload = {"verdict": "reducible", "reason": "x", "witness": [0, 1], "d_s": (2, 4)}
     whole = {**payload, "reach_nodes": list(range(n))}
     expected = json.dumps(whole, indent=2, sort_keys=True)
     for nodes in (array("i", range(n)), tuple(range(n))):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            _print_check(payload, nodes)
+            _print_json({**payload, "reach_nodes": _LIST}, map(str, nodes))
         assert out.getvalue() == expected + "\n"
 
 
@@ -695,11 +723,17 @@ CENSUS_TEXT_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2)]
 )
 @example((3, 1), "all", 0)
 def test_census_json_template_matches_json_dumps(field_spec, census_filter, limit):
-    # the streamed writer's one %-template against the encoder, the
-    # empty census (limit 0) included
-    rows = census_pairs(make_field(*field_spec), census_filter, limit)
+    # census --format json, a %-template per row written as a list from
+    # items, against the encoder, the empty census (limit 0) included
+    p, e = field_spec
+    rows = census_pairs(make_field(p, e), census_filter, limit)
     expected = json.dumps(census_json(rows), indent=2, sort_keys=True) + "\n"
-    assert "".join(_census_json_lines(iter(rows))) == expected
+    argv = ["census", "--p", str(p), "--e", str(e), "--filter", census_filter]
+    argv += ["--format", "json"] + ([] if limit is None else ["--limit", str(limit)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == expected
 
 
 # -- both generator encodings give the same output --

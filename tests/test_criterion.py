@@ -306,19 +306,25 @@ def test_expanded_counts_the_derived_targets():
     assert g.expanded == 0 and targets(g) == [] and tuple(g.iter_edges()) == ()
 
 
-def walk_peak_per_node(s):
-    """The walk's tracemalloc peak in bytes per node, and the node count."""
+def traced_peak(call, *args):
+    """call(*args) and its tracemalloc peak in bytes."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        g = reachable_subgraph(s)
+        result = call(*args)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+    return result, peak
+
+
+def walk_peak_per_node(s):
+    """The walk's tracemalloc peak in bytes per node, and the node count."""
+    g, peak = traced_peak(reachable_subgraph, s)
     return peak / len(g.nodes), len(g.nodes)
 
 
@@ -341,6 +347,16 @@ def test_closure_memory_per_node_dict_store(monkeypatch):
     per_node, nodes = walk_peak_per_node(gset(make_field(100003), (5, 8), (6, 8)))
     assert nodes == 45663
     assert per_node < 140
+
+
+def test_decision_walk_stays_small_on_a_large_field():
+    # a reducible pair over F_1048573 whose decision stops at its third
+    # node; an array of q predecessors alone would take 4 MB
+    s = gset(make_field(1048573), (0, 2), (7, 2))
+    v, peak = traced_peak(check_semigroup_irreducible, s)
+    assert v.witness == (1, 0, 0) and len(v.graph.nodes) == 3
+    assert type(v.graph.parent._store) is dict
+    assert peak < 1 << 20
 
 
 def test_records_are_tuples():
@@ -465,12 +481,14 @@ def assert_early_exit_matches_closure(s):
         full.reason,
         full.witness,
     )
-    # the explored graph is a prefix of the whole closure's BFS
+    # the explored graph is a prefix of the whole closure's BFS; the
+    # decision keeps its nodes in a tuple, the closure in an array up to
+    # the table limit
     g, h = early.graph, full.graph
     assert g.seeds == h.seeds
     square = (i for i, f in enumerate(s.gens) if s.field.euler_is_square(f.b))
     assert g.square_b == h.square_b == next(square, None)
-    assert h.nodes[: len(g.nodes)] == g.nodes
+    assert tuple(h.nodes[: len(g.nodes)]) == tuple(g.nodes)
     assert targets(h)[: len(targets(g))] == targets(g)
     assert all(g.parent[v] == h.parent[v] for v in g.nodes)
     if early.reason == REASON_GENERATOR:
@@ -480,7 +498,11 @@ def assert_early_exit_matches_closure(s):
         assert g.first_square == h.first_square
         assert g.nodes[-1] == targets(g)[-1] == g.first_square[2]
     else:
-        assert (g.nodes, targets(g), g.first_square) == (h.nodes, targets(h), None)
+        assert (tuple(g.nodes), targets(g), g.first_square) == (
+            tuple(h.nodes),
+            targets(h),
+            None,
+        )
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -603,12 +625,13 @@ def any_sets(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(any_sets())
 def test_array_walk_equals_dict_walk(s):
-    for stop in (False, True):  # the whole closure, then the early exit
+    # the whole closure, then the early exit, which keeps the dict at every q
+    for stop, table_store in ((False, array), (True, dict)):
         store, seen = walk_record(s, stop)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(criterion, "_TABLE_LIMIT", 0)  # every field takes the dict
             dict_store, dict_seen = walk_record(s, stop)
-        assert (store, dict_store) == (array, dict)
+        assert (store, dict_store) == (table_store, dict)
         assert seen == dict_seen
 
 

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import quadsemi
+import quadsemi.cli
 from quadsemi import (
     CrosscheckReport,
     Field,
@@ -87,6 +88,11 @@ DELETED = [
     (quadsemi.criterion, "_map_kernel"),
     (quadsemi.field, "_digit_mulmod"),
     (quadsemi.field, "_digits_of"),
+    (quadsemi.cli, "_print_check"),
+    (quadsemi.cli, "_census_json_lines"),
+    (Field, "_square_table"),
+    (_DigitField, "_square_table"),
+    (quadsemi.search, "census_tsv"),
 ]
 
 

@@ -20,6 +20,7 @@ from quadsemi.field import (
     make_field,
 )
 from quadsemi.quadratic import GeneratorSet, MonicQuadratic, evaluate
+from quadsemi.search import _CensusMemo
 
 # Squares (including 0) in small prime fields, frozen from direct
 # enumeration of x^2 over each field.
@@ -154,10 +155,15 @@ def test_supplied_modulus_rejected_when_reducible():
 
 
 def test_supplied_modulus_rejected_when_not_monic_or_wrong_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must be monic of degree 2 \(length 3, leading 1\)"):
         make_field(3, 2, [1, 1, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must be monic of degree 2 \(length 3, leading 1\)"):
         make_field(3, 2, [1, 1])
+    for modulus in ([1, 2], [3, 1, 1]):
+        with pytest.raises(ValueError, match="for a prime field must be monic of degree 1"):
+            make_field(7, 1, modulus)
+    with pytest.raises(ValueError, match=r"coefficients must lie in \[0, 3\)"):
+        make_field(3, 2, [4, 0, 1])
 
 
 def test_digits_round_trip():
@@ -365,13 +371,14 @@ SQUARE_MAP_FIELDS = [(p, 1, None) for p in (3, 5, 7, 11, 13)] + [
 
 @pytest.mark.parametrize("p,e,modulus", SQUARE_MAP_FIELDS)
 def test_square_map_matches_sub_and_mul_on_every_element(p, e, modulus):
-    # every kernel's map, on every u, for a and b among 0, 1, q - 1 and
-    # two drawn values; the table kernel's also equals the digit kernel's
+    # every kernel's map, on every u, for every a and b over fields up to
+    # q = 25 and for a and b among 0, 1, q - 1 and two drawn values above;
+    # the table kernel's also equals the digit kernel's
     field = make_field(p, e, modulus)
     kernels = [field] if e == 1 else [field, digit_kernel(p, e, modulus)]
     q = field.q
     rng = random.Random(q)
-    values = sorted({0, 1, q - 1, rng.randrange(q), rng.randrange(q)})
+    values = range(q) if q <= 25 else sorted({0, 1, q - 1, rng.randrange(q), rng.randrange(q)})
     for a, b in itertools.product(values, repeat=2):
         images = []
         for kernel in kernels:
@@ -385,14 +392,16 @@ def test_square_map_matches_sub_and_mul_on_every_element(p, e, modulus):
 
 @pytest.mark.parametrize("p,e,modulus", SQUARE_MAP_FIELDS)
 def test_square_table_matches_square_map_on_every_element(p, e, modulus):
-    # every kernel's bulk image table, for every a and b over fields up
-    # to q = 25 and for a and b among 0, 1, q - 1 and two drawn values above
+    # the census's image tables, built once per quadratic from the
+    # kernel's one map, for a and b among 0, 1, q - 1 and two drawn values
     field = make_field(p, e, modulus)
     kernels = [field] if e == 1 else [field, digit_kernel(p, e, modulus)]
     q = field.q
     rng = random.Random(q)
-    values = range(q) if q <= 25 else sorted({0, 1, q - 1, rng.randrange(q), rng.randrange(q)})
+    values = sorted({0, 1, q - 1, rng.randrange(q), rng.randrange(q)})
     for kernel in kernels:
+        memo = _CensusMemo(kernel)
         for a, b in itertools.product(values, repeat=2):
-            square_map = kernel._square_map(a, b)
-            assert kernel._square_table(a, b) == [square_map(u) for u in range(q)], (a, b)
+            table = memo.table(a, b)
+            assert table == [reference_square_map(kernel, a, b, u) for u in range(q)], (a, b)
+            assert memo.table(a, b) is table

@@ -133,6 +133,11 @@ def test_rem_rejects_zero_divisor():
         poly_rem(F7, [1, 1], [])
 
 
+def test_pow_mod_rejects_negative_exponent():
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly_pow_mod(F7, [0, 1], -1, [2, 0, 1])
+
+
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
 def test_gcd_divides_and_is_monic(p, e):
     field = make_field(p, e)

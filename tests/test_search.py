@@ -21,12 +21,12 @@ from quadsemi.search import (
     CENSUS_FILTERS,
     _census_quadratics,
     _census_rows,
+    _census_tsv_lines,
     _checked_prime_field,
     _reaches_square,
     _stuck_shifts,
     census_json,
     census_pairs,
-    census_tsv,
     example_family,
     nonsquare_pair_records,
     single_generator_records,
@@ -64,7 +64,8 @@ def test_census_limit_truncates_canonical_order():
 
 def test_census_limit_zero_gives_no_rows():
     assert census_pairs(make_field(5), limit=0) == []
-    assert census_tsv([]) == "q\ta1\tb1\ta2\tb2\tverdict\twitness_len\treach_size\n"
+    header = "q\ta1\tb1\ta2\tb2\tverdict\twitness_len\treach_size\n"
+    assert "".join(_census_tsv_lines([])) == header
 
 
 @pytest.mark.parametrize("limit", [-1, -2])
@@ -454,7 +455,7 @@ def test_census_pair_budget_without_limit(monkeypatch):
 
 def test_census_tsv_golden():
     rows = census_pairs(make_field(3), limit=4)
-    assert census_tsv(rows) == (
+    assert "".join(_census_tsv_lines(rows)) == (
         "q\ta1\tb1\ta2\tb2\tverdict\twitness_len\treach_size\n"
         "3\t0\t0\t0\t1\treducible\t1\t3\n"
         "3\t0\t0\t0\t2\treducible\t1\t3\n"
