@@ -47,11 +47,11 @@ class ReachGraph(NamedTuple):
     nodes lists elements in BFS discovery order; a distinguished value
     appears among the nodes only if some walk re-enters it.  It is the
     walk's own store of them: an array of C ints for a whole closure
-    with q <= _TABLE_LIMIT, otherwise a tuple.  parent is a read-only
-    mapping, iterated in discovery order, from each node v to (u, i): u
-    is the source that first discovered v, so its chain back to a seed is
-    a shortest walk, and i is the generator index that took u to v, found
-    again by evaluating the maps.  first_square is the edge that
+    with q <= _TABLE_LIMIT, otherwise the walk's list.  parent is a
+    read-only mapping, iterated in discovery order, from each node v to
+    (u, i): u is the source that first discovered v, so its chain back to
+    a seed is a shortest walk, and i is the generator index that took u
+    to v, found again by evaluating the maps.  first_square is the edge that
     discovered the earliest square node, or None when every explored
     node is a non-square.
     expanded counts the walk's map evaluations: one per expanded source
@@ -86,9 +86,8 @@ class ReachGraph(NamedTuple):
         return tuple(v for v in self.nodes if f.is_square(v))
 
     def sources(self) -> Iterator[int]:
-        """Expansion order, streamed: the seeds, then the nodes that are
-        not seeds."""
-        return chain(self.seeds, filterfalse(set(self.seeds).__contains__, self.nodes))
+        """Expansion order, streamed: the order the walk itself expanded."""
+        return _sources(self.seeds, self.nodes)
 
     def iter_edges(self) -> Iterator[tuple[int, int, int]]:
         """(source, generator index, image) per map evaluation of the
@@ -147,6 +146,14 @@ class _ParentView(Mapping):
         return len(self._nodes)
 
 
+def _sources(seeds: tuple[int, ...], nodes: Sequence[int]) -> Iterator[int]:
+    """The seeds, then the nodes that are not seeds.  An array or list
+    iterator also yields items appended while it runs, so the walk reads
+    its queue from this while appending to nodes.
+    """
+    return chain(seeds, filterfalse(set(seeds).__contains__, nodes))
+
+
 def _generator_maps(generators: GeneratorSet):
     """(prime, maps): maps holds (generator index, a, b, the kernel's
     map u -> (u - a)^2 - b) in input order.  Over a prime field prime is
@@ -169,21 +176,21 @@ def reachable_subgraph(
     alone passes _stop_at_square: the walk then does not start when some
     b is a square and otherwise ends at the first square node.
 
-    A whole closure with q <= _TABLE_LIMIT puts the predecessors into an
-    array of q C ints, -1 where nothing is found yet, and an array of the
-    nodes keeps the discovery order and becomes the graph's nodes.  A
-    larger field keeps a dict, whose keys keep that order, and so does
-    the decision at every q: it mostly stops within a few nodes, where
-    the q-int array would cost more than the walk.
+    The walk appends each new node to one sequence, which is the graph's
+    nodes, and expands _sources(seeds, nodes) as that sequence grows: it
+    is its own work queue.  A whole closure with q <= _TABLE_LIMIT puts
+    the predecessors into an array of q C ints, -1 where nothing is
+    found yet, and the nodes into an array of C ints.  A larger field
+    keeps the predecessors in a dict and the nodes in a list, and so
+    does the decision at every q: it mostly stops within a few nodes,
+    where the q-int array would cost more than the walk.
     """
     field = generators.field
     seeds = distinguished_set(generators)
-    seed_set = set(seeds)
     array_store = field.q <= _TABLE_LIMIT and not _stop_at_square
-    # C ints in the array store: a boxed int and its list slot take 40 B
-    sources = array("i", seeds) if array_store else list(seeds)
     pred = array("i", [-1]) * field.q if array_store else {}
-    found = array("i")  # the nodes in discovery order, array store only
+    # C ints in the array store: a boxed int and its list slot take 40 B
+    nodes = array("i") if array_store else []
     first_square: tuple[int, int, int] | None = None
     expanded = 0
     prime, maps = _generator_maps(generators)
@@ -191,18 +198,16 @@ def reachable_subgraph(
     square_b = next((i for i, g in enumerate(generators.gens) if is_square(g.b)), None)
 
     if not (_stop_at_square and square_b is not None):
-        for pos, u in enumerate(sources):  # grows while it is walked
+        for pos, u in enumerate(_sources(seeds, nodes)):
             for i, a, b, square_map in maps:
                 v = ((u - a) * (u - a) - b) % prime if prime else square_map(u)
                 if array_store:
                     if pred[v] >= 0:
                         continue
-                    found.append(v)
                 elif v in pred:
                     continue
                 pred[v] = u
-                if v not in seed_set:
-                    sources.append(v)
+                nodes.append(v)
                 if first_square is None and is_square(v):
                     first_square = (u, i, v)
                     if _stop_at_square:
@@ -210,11 +215,8 @@ def reachable_subgraph(
                         break
             if expanded:
                 break
-        else:
-            expanded = len(sources) * len(maps)
-    del sources  # freed before tuple(pred): a third copy of the nodes at the peak
-    # a dict's insertion order is discovery order
-    nodes = found if array_store else tuple(pred)
+        else:  # a set has at least one seed, so pos is bound
+            expanded = (pos + 1) * len(maps)
     return ReachGraph(
         generators=generators,
         seeds=seeds,

@@ -646,7 +646,7 @@ def test_census_memory_per_row():
 def test_check_prints_the_same_from_either_store(monkeypatch, doc):
     on_array = run_on_stdin("check", doc)
     monkeypatch.setattr(criterion, "_TABLE_LIMIT", 0)  # every field takes the dict
-    assert type(reachable_subgraph(load_generator_set(doc, 8)).nodes) is tuple
+    assert type(reachable_subgraph(load_generator_set(doc, 8)).nodes) is list
     assert run_on_stdin("check", doc) == on_array
 
 

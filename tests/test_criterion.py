@@ -329,16 +329,12 @@ def walk_peak_per_node(s):
 
 
 def test_closure_memory_per_node():
-    # the a/a+1 family pair over F_100003 (45,663 nodes).  Storing one
-    # image per edge took 217 B per node at the walk's peak; without that
-    # list it took 178 B, and storing each node's predecessor alone, not
-    # a (predecessor, generator index) tuple, took 124 B in a dict.  An
-    # array of q predecessors in place of the dict took 58 B, and arrays
-    # in place of the lists of sources and nodes, the latter returned as
-    # the graph's nodes instead of a tuple copy, take 17 B.
+    # the a/a+1 family pair over F_100003 (45,663 nodes).  The peak is
+    # the 4q bytes of predecessors, about 8.8 B per node here, plus one
+    # array of the nodes at 4 B each and its growth slack: 12.9 B
     per_node, nodes = walk_peak_per_node(gset(make_field(100003), (5, 8), (6, 8)))
     assert nodes == 45663
-    assert per_node < 24
+    assert per_node < 15
 
 
 def test_closure_memory_per_node_dict_store(monkeypatch):
