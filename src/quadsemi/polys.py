@@ -94,6 +94,10 @@ def _monic(field: Field, f) -> list[int]:
     """f divided by its leading coefficient; zero stays zero."""
     if not f or f[-1] == 1:
         return f
+    if field.e == 1:
+        p = field.p
+        lead_inv = pow(f[-1], -1, p)
+        return [lead_inv * c % p for c in f]
     lead_inv, mul = field.inv(f[-1]), field.mul
     return [mul(lead_inv, c) for c in f]
 

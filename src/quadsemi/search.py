@@ -14,9 +14,11 @@ generator set or a graph, and the CLI writes its rows as they come.
 The verify_* functions need only a yes or no per shift-free set, so
 each set is decided by a walk over bare integers, one growing list
 without BFS levels, that returns at its first square node.  Both start
-from one walk per non-square singleton: a pair whose singleton reaches
-a square does too, so only pairs of two stuck singletons get a walk of
-their own.  The
+from the singletons: the closure of {x^2 - b} is the one orbit of -b,
+so the orbits of all non-square b advance together, a round at a time,
+and only the few still open after the rounds get an exact walk.  A
+pair whose singleton reaches a square does too, so only pairs of two
+stuck singletons get a walk of their own.  The
 records and the family walk through the criterion module:
 single_generator_records and example_family stop at each set's first
 square, and nonsquare_pair_records reads its statistics off the whole
@@ -433,24 +435,54 @@ def single_generator_records(p: int) -> list[SingleGeneratorRecord]:
     return records
 
 
+# The batched singleton pass of _stuck_shifts, by measurement: b is taken
+# in blocks of _STUCK_BLOCK values, so that the pass holds O(block) ints
+# and not O(p); a block's open orbits advance together for at most
+# _STUCK_ROUNDS rounds, and once _STUCK_FEW or fewer are open, or the
+# rounds run out, each left is decided by its own exact walk.
+_STUCK_BLOCK = 4096
+_STUCK_ROUNDS = 32
+_STUCK_FEW = 2
+
+
 def _stuck_shifts(p: int, is_square: Callable[[int], bool]) -> list[int]:
     """The non-squares b of F_p, in increasing order, for which the walk
     of _reaches_square from the singleton {x^2 - b} finds no square.
+
+    With one map that walk is the orbit -b, f(-b), f^2(-b), ... of
+    f = u -> u^2 - b: it tests f^k(-b) for k = 1, 2, ... in turn until a
+    value repeats, so b reaches a square iff some f^k(-b), k >= 1, is
+    one.  The orbits of a block's non-square b advance in lockstep, one
+    step a round, and a b leaves as soon as its new value is a square,
+    a square its walk would find too.  The b still open when few are
+    left or the rounds run out go to _reaches_square in increasing
+    order; it also detects the cycle that a stuck orbit closes.
     """
-    return [
-        b
-        for b in range(p)
-        if not is_square(b) and not _reaches_square((b,), p, is_square)
-    ]
+    stuck: list[int] = []
+    for start in range(0, p, _STUCK_BLOCK):
+        stop = min(start + _STUCK_BLOCK, p)
+        shifts = [b for b in range(start, stop) if not is_square(b)]
+        values = shifts  # (-b)^2 = b^2, so b stands for the seed -b
+        for _ in range(_STUCK_ROUNDS):
+            if len(shifts) <= _STUCK_FEW:
+                break
+            values = [(u * u - b) % p for u, b in zip(values, shifts)]
+            still_open = [not square for square in map(is_square, values)]
+            shifts = list(itertools.compress(shifts, still_open))
+            values = list(itertools.compress(values, still_open))
+        stuck += [b for b in shifts if not _reaches_square((b,), p, is_square)]
+    return stuck
 
 
 def verify_lemma_p7mod8(p: int) -> bool:
     """True iff every singleton {x^2 - b} over F_p has a reducible
     composition (p = 7 (mod 8)): a square b splits at degree 2, and no
-    non-square b is stuck, that is, its walk finds a square.
+    non-square b is stuck, that is, its orbit from -b reaches a square.
+    The orbits advance together in _stuck_shifts, and only the few left
+    open get a walk of their own.
     """
     field = _checked_prime_field(p, residue=7, modulus=8)
-    return not _stuck_shifts(p, field.is_square)
+    return not _stuck_shifts(p, field._square_t.__getitem__)
 
 
 class NonSquarePairRecord(NamedTuple):
@@ -508,12 +540,13 @@ def verify_prop_p3mod4(p: int) -> bool:
 
     Every walk of the singleton {x^2 - b_f} from -b_f is also a walk of
     the pair from the same seed, so a pair reaches a square whenever
-    one of its singletons does.  Only pairs of two stuck singletons are
-    walked: (p - 1)/2 singleton walks and C(k, 2) pair walks for k
-    stuck shifts, in place of about p^2/8 pair walks.
+    one of its singletons does.  So the (p - 1)/2 singleton orbits are
+    stepped together in _stuck_shifts, which walks only the few left
+    open, and then only pairs of two stuck singletons are walked: C(k, 2)
+    pair walks for k stuck shifts, in place of about p^2/8.
     """
     field = _checked_prime_field(p, residue=3, modulus=4)
-    is_square = field.is_square
+    is_square = field._square_t.__getitem__  # p <= 2^20: the field has the table
     stuck = _stuck_shifts(p, is_square)
     return all(
         _reaches_square(pair, p, is_square) for pair in itertools.combinations(stuck, 2)

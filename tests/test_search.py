@@ -5,6 +5,7 @@ small-prime verifications with their per-case records.
 import functools
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -794,23 +795,88 @@ def counted_walks(monkeypatch):
     return walks
 
 
+def one_walk_per_shift(p, is_square):
+    """The stuck shifts by their definition: one walk per non-square b."""
+    return [
+        b for b in range(p) if not is_square(b) and not _reaches_square((b,), p, is_square)
+    ]
+
+
+PRIMES_5_TO_3000 = [p for p in range(5, 3000, 2) if all(p % d for d in range(3, p, 2))]
+
+
+@pytest.mark.parametrize("rounds", [None, 0, 1])
+def test_stuck_shifts_match_one_walk_per_shift(monkeypatch, rounds):
+    # the batched orbits against a walk per b, at every prime below 3000,
+    # at p = 10243 (5 stuck shifts) and at p = 100003 (stuck [2]); with
+    # at most one round, or none, most or all b go through the exact walk
+    if rounds is not None:
+        monkeypatch.setattr(search, "_STUCK_ROUNDS", rounds)
+    for p in PRIMES_5_TO_3000 + [10243, 100003]:
+        field = make_field(p)
+        expected = one_walk_per_shift(p, field.is_square)
+        assert _stuck_shifts(p, field._square_t.__getitem__) == expected, p
+        if p == 10243:
+            assert len(expected) == 5
+        if p == 100003:
+            assert expected == [2]
+
+
+def test_stuck_shifts_memory_is_bounded_by_the_block():
+    # the orbits advance a block of b at a time: 195 KiB at the
+    # tracemalloc peak over F_100003, 4.5 MiB with all 50,001 non-square
+    # b and their values in one block (CPython 3.11)
+    square = make_field(100003)._square_t.__getitem__
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert _stuck_shifts(100003, square) == [2]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("p,k", [(10007, 0), (10243, 5)])
 def test_verify_prop_walk_count(monkeypatch, p, k):
-    # a work count in place of a timing gate: one walk per non-square
-    # singleton, then one per pair of the k stuck shifts and no other
+    # a work count in place of a timing gate: walks only for the
+    # singletons the batched rounds leave open, at most _STUCK_FEW per
+    # block besides the k stuck ones, in increasing order, then one per
+    # pair of the stuck shifts and no other
     field = make_field(p)
-    nonsquares = [b for b in range(p) if not field.is_square(b)]
     stuck = _stuck_shifts(p, field.is_square)
     assert len(stuck) == k
+    pairs = list(itertools.combinations(stuck, 2))
     walks = counted_walks(monkeypatch)
     assert verify_prop_p3mod4(p) is True
-    assert len(walks) == (p - 1) // 2 + k * (k - 1) // 2
-    assert walks == [(b,) for b in nonsquares] + list(itertools.combinations(stuck, 2))
+    singles = walks[: len(walks) - len(pairs)]
+    assert walks[len(singles) :] == pairs
+    walked = [b for (b,) in singles]
+    assert walked == sorted(set(walked))
+    assert not any(map(field.is_square, walked))
+    assert set(stuck) <= set(walked)
+    blocks = -(-p // search._STUCK_BLOCK)
+    assert len(walked) <= k + search._STUCK_FEW * blocks
+    # with no rounds, one walk per non-square singleton comes back
+    monkeypatch.setattr(search, "_STUCK_ROUNDS", 0)
+    walks.clear()
+    assert verify_prop_p3mod4(p) is True
+    nonsquares = [b for b in range(p) if not field.is_square(b)]
+    assert walks == [(b,) for b in nonsquares] + pairs
 
 
 def test_verify_lemma_walk_count(monkeypatch):
     field = make_field(1031)
     walks = counted_walks(monkeypatch)
+    assert verify_lemma_p7mod8(1031) is True
+    assert 0 < len(walks) <= search._STUCK_FEW  # one block, no stuck shift
+    assert all(len(w) == 1 and not field.is_square(w[0]) for w in walks)
+    monkeypatch.setattr(search, "_STUCK_ROUNDS", 0)
+    walks.clear()
     assert verify_lemma_p7mod8(1031) is True
     assert walks == [(b,) for b in range(1031) if not field.is_square(b)]
 
