@@ -435,11 +435,10 @@ def single_generator_records(p: int) -> list[SingleGeneratorRecord]:
     return records
 
 
-# The batched singleton pass of _stuck_shifts, by measurement: b is taken
-# in blocks of _STUCK_BLOCK values, so that the pass holds O(block) ints
-# and not O(p); a block's open orbits advance together for at most
-# _STUCK_ROUNDS rounds, and once _STUCK_FEW or fewer are open, or the
-# rounds run out, each left is decided by its own exact walk.
+# The batched pass of _stuck_shifts, each value chosen by measurement: b
+# is taken in blocks of _STUCK_BLOCK values, so that the pass holds
+# O(block) ints and not O(p), and a block's orbits advance for at most
+# _STUCK_ROUNDS rounds, or until _STUCK_FEW or fewer are open.
 _STUCK_BLOCK = 4096
 _STUCK_ROUNDS = 32
 _STUCK_FEW = 2
